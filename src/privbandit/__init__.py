@@ -1,32 +1,33 @@
 """Privacy-preserving personalized pricing with nonparametric demand.
 
-Simulation library for two quadrisection-search pricing policies over a
-hypercube partition of the context space: a centrally-private policy backed
-by binary-counter (tree) aggregation of rewards and counts, and a
-locally-private policy that perturbs each customer's record before storage.
+Simulation library for one parallel quadrisection price search over a
+hypercube partition of the context space, privatized two ways: a
+centrally-private policy backed by binary-counter (tree) aggregation of
+rewards and counts, and a locally-private policy that perturbs each
+customer's record before storage.
 Includes demand environments, a regret harness, and a CLI that reproduces
 the reference percentage-regret tables and scaling-law plots.
 """
 
 from .cppq import CppqConfig, CppqPolicy
-from .env import AdversarialEnv, DemandEnvironment, LinearDemandEnv, boundary_distance, check_assumptions, lambda_nu
+from .env import (AdversarialEnv, DemandEnvironment, LinearDemandEnv, boundary_distance,
+                  check_assumptions)
 from .harness import (AggregateResult, PolicySpec, RunRecord, fit_loglog_slope,
                       make_env, percentage_regret, replicate, run_episode, run_one)
 from .lppq import LppqConfig, LppqPolicy
 from .partition import (HypercubePartition, PriceGrid, build_partition, cube_index,
                         init_price_grid, phase_index, shrink_grid)
-from .prng import LaplaceParams, RngStream, derive_stream, laplace_from_uniform, laplace_sample, uniform_sample
-from .tree_agg import CapacityError, TreeAggregator, new_aggregator
+from .prng import RngStream, derive_stream, laplace_from_uniform
+from .tree_agg import CapacityError, TreeAggregator
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdversarialEnv", "AggregateResult", "CapacityError", "CppqConfig", "CppqPolicy",
-    "DemandEnvironment", "HypercubePartition", "LaplaceParams", "LinearDemandEnv",
-    "LppqConfig", "LppqPolicy", "PolicySpec", "PriceGrid", "RngStream", "RunRecord",
-    "TreeAggregator", "boundary_distance", "build_partition", "check_assumptions",
-    "cube_index", "derive_stream", "fit_loglog_slope", "init_price_grid",
-    "lambda_nu", "laplace_from_uniform", "laplace_sample", "make_env", "new_aggregator",
-    "percentage_regret", "phase_index", "replicate", "run_episode", "run_one",
-    "shrink_grid", "uniform_sample",
+    "DemandEnvironment", "HypercubePartition", "LinearDemandEnv", "LppqConfig",
+    "LppqPolicy", "PolicySpec", "PriceGrid", "RngStream", "RunRecord", "TreeAggregator",
+    "boundary_distance", "build_partition", "check_assumptions", "cube_index",
+    "derive_stream", "fit_loglog_slope", "init_price_grid", "laplace_from_uniform",
+    "make_env", "percentage_regret", "phase_index", "replicate", "run_episode", "run_one",
+    "shrink_grid",
 ]

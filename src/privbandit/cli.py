@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import harness
-from .harness import NONPRIVATE, PolicySpec, aggregate, fit_loglog_slope, make_env, run_one
+from .harness import (NONPRIVATE, POLICIES, PolicySpec, aggregate, fit_loglog_slope, make_env,
+                      percentage_regret, run_many)
+from .partition import PRESETS, SENSITIVITY_CORRECT, UNIT_SCALE
 from .prng import RngStream, seed_from_env
 from .svgplot import line_chart
 
@@ -49,7 +50,7 @@ class ExperimentConfig:
     eps_list: tuple = (1.0,)
     reps: int = 1
     seed: int = DEFAULT_SEED
-    sensitivity_mode: str = "unit-scale"
+    sensitivity_mode: str = UNIT_SCALE
     include_nonprivate: bool = False
 
 
@@ -82,6 +83,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("env must be an object with a 'kind' field")
     cfg.env_kind = env["kind"]
     cfg.env_params = {k: v for k, v in env.items() if k != "kind"}
+    try:
+        make_env(cfg.env_kind, **cfg.env_params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad env {env}: {exc}") from None
 
     policy = doc.get("policy")
     if policy is not None:
@@ -91,25 +96,28 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown policy keys: {sorted(unknown)}")
         cfg.policy_kind = policy.get("kind", cfg.policy_kind)
-        if cfg.policy_kind not in ("cppq", "lppq", NONPRIVATE):
+        if cfg.policy_kind not in POLICIES:
             raise ConfigError(f"unknown policy kind {cfg.policy_kind!r}")
         cfg.policy_preset = policy.get("preset", cfg.policy_preset)
-        if cfg.policy_preset not in ("experiment", "theorem"):
+        if cfg.policy_preset not in PRESETS:
             raise ConfigError(f"unknown policy preset {cfg.policy_preset!r}")
-        cfg.J = policy.get("J")
-        cfg.policy_overrides = {k: float(v) for k, v in policy.items()
+        if policy.get("J") is not None:
+            cfg.J = _positive_int(policy["J"], "policy J")
+        cfg.policy_overrides = {k: _number(v, f"policy {k}") for k, v in policy.items()
                                 if k in ("c1", "c1_prime", "c2", "kappa1", "kappa2")}
 
     if "T" in doc:
-        cfg.T_list = tuple(_positive_int(v, "T") for v in _as_list(doc["T"], "T"))
+        cfg.T_list = tuple(_positive_int(v, "each T entry") for v in _as_list(doc["T"], "T"))
     if "eps" in doc:
         cfg.eps_list = tuple(_parse_eps(v) for v in _as_list(doc["eps"], "eps"))
     if "reps" in doc:
         cfg.reps = _positive_int(doc["reps"], "reps")
     if "seed" in doc:
-        cfg.seed = int(doc["seed"])
+        if not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool):
+            raise ConfigError(f"seed must be an integer, got {doc['seed']!r}")
+        cfg.seed = doc["seed"]
     if "sensitivity_mode" in doc:
-        if doc["sensitivity_mode"] not in ("unit-scale", "sensitivity-correct"):
+        if doc["sensitivity_mode"] not in (UNIT_SCALE, SENSITIVITY_CORRECT):
             raise ConfigError(f"unknown sensitivity_mode {doc['sensitivity_mode']!r}")
         cfg.sensitivity_mode = doc["sensitivity_mode"]
     if "include_nonprivate" in doc:
@@ -127,8 +135,15 @@ def _as_list(v, name):
 
 def _positive_int(v, name):
     if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ConfigError(f"{name} entries must be positive integers, got {v!r}")
+        raise ConfigError(f"{name} must be a positive integer, got {v!r}")
     return v
+
+
+def _number(v, name):
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {v!r}") from None
 
 
 def _parse_eps(v):
@@ -155,14 +170,10 @@ def _policy_specs(cfg: ExperimentConfig):
     """Expand the config into the (spec, label) list to run, in output order."""
     overrides = tuple(sorted(cfg.policy_overrides.items()))
     specs = []
-    if cfg.include_nonprivate:
+    if cfg.include_nonprivate or cfg.policy_kind == NONPRIVATE:
         specs.append(PolicySpec(kind=NONPRIVATE, preset=cfg.policy_preset,
                                 J_request=cfg.J, sensitivity_mode=cfg.sensitivity_mode))
-    if cfg.policy_kind == NONPRIVATE:
-        if not cfg.include_nonprivate:
-            specs.append(PolicySpec(kind=NONPRIVATE, preset=cfg.policy_preset,
-                                    J_request=cfg.J, sensitivity_mode=cfg.sensitivity_mode))
-    else:
+    if cfg.policy_kind != NONPRIVATE:
         for eps in cfg.eps_list:
             specs.append(PolicySpec(kind=cfg.policy_kind, preset=cfg.policy_preset, eps=eps,
                                     J_request=cfg.J, sensitivity_mode=cfg.sensitivity_mode,
@@ -173,32 +184,22 @@ def _policy_specs(cfg: ExperimentConfig):
 def run_grid(cfg: ExperimentConfig, jobs: int = 1):
     """Run the whole (policy, eps, T, rep) grid; returns (records, aggregates)."""
     env = make_env(cfg.env_kind, **cfg.env_params)
-    records = []
-    aggregates = []
-    from concurrent.futures import ProcessPoolExecutor
     tasks = [(spec, env, T, cfg.seed, rep)
              for spec in _policy_specs(cfg)
              for T in cfg.T_list
              for rep in range(cfg.reps)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(harness._run_one_args, tasks, chunksize=1))
-    else:
-        records = [run_one(*task) for task in tasks]
+    records = run_many(tasks, jobs)
     # ordered fold per (spec, T) group
-    group = cfg.reps
-    for i in range(0, len(records), group):
-        aggregates.append(aggregate(records[i:i + group]))
+    aggregates = [aggregate(records[i:i + cfg.reps]) for i in range(0, len(records), cfg.reps)]
     return records, aggregates
 
 
 def write_csv(records, path: str):
     lines = [CSV_HEADER]
     for r in records:
-        pct = 100.0 * r.cumulative_regret / r.oracle_revenue
         lines.append(",".join([
             r.policy, r.env, _fmt(r.eps), str(r.T), str(r.J), str(r.rep), str(r.seed),
-            _fmt(r.cumulative_regret), _fmt(pct), _fmt(r.oracle_revenue),
+            _fmt(r.cumulative_regret), _fmt(percentage_regret(r)), _fmt(r.oracle_revenue),
             str(r.shrinks_total),
         ]))
     with open(path, "w") as f:

@@ -22,80 +22,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import (LEFT_CUT, RIGHT_CUT, PriceGrid, build_partition,
-                        cube_index, phase_index)
+from .partition import UNIT_SCALE, HorizonConfig, Quadrisection, cube_index, gaps, phase_index
 from .prng import RngStream
 from .tree_agg import TreeAggregator
 
-UNIT_SCALE = "unit-scale"
-SENSITIVITY_CORRECT = "sensitivity-correct"
-
 
 @dataclass(frozen=True)
-class CppqConfig:
-    T: int
-    eps: float  # math.inf disables noise (non-private baseline)
-    J_request: int
+class CppqConfig(HorizonConfig):
     c1: float
     c1_prime: float
     c2: float
     preset: str = "custom"
 
-    def __post_init__(self):
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive (or inf), got {self.eps}")
-        if self.J_request < 1:
-            raise ValueError(f"J_request must be >= 1, got {self.J_request}")
-
     @classmethod
     def theorem(cls, T: int, eps: float, d: int = 2, J_request: int | None = None) -> "CppqConfig":
         """Parameter schedule from the regret guarantee."""
-        if J_request is None:
-            J_request = math.ceil(T ** (d / (d + 4)))
         log_term = math.log(2 * T**3)
         c2 = 0.0 if math.isinf(eps) else 76.0 / eps * log_term**2
-        return cls(T=T, eps=eps, J_request=J_request, c1=math.sqrt(log_term),
-                   c1_prime=4.0 * c2, c2=c2, preset="theorem")
+        return cls._preset("theorem", T, eps, d, J_request, c1=math.sqrt(log_term),
+                           c1_prime=4.0 * c2, c2=c2)
 
     @classmethod
     def experiment(cls, T: int, eps: float, d: int = 2, J_request: int | None = None) -> "CppqConfig":
         """Loose constants used for the desk-scale reproductions."""
-        if J_request is None:
-            J_request = math.ceil(T ** (d / (d + 4)))
         c2 = 0.0 if math.isinf(eps) else math.log(T) ** 2 / eps
-        return cls(T=T, eps=eps, J_request=J_request, c1=0.001 * math.sqrt(math.log(T)),
-                   c1_prime=0.01 * c2, c2=c2, preset="experiment")
+        return cls._preset("experiment", T, eps, d, J_request,
+                           c1=0.001 * math.sqrt(math.log(T)), c1_prime=0.01 * c2, c2=c2)
 
 
-@dataclass
-class ShrinkEvent:
-    t: int
-    cube: int
-    direction: str
-    epoch: int  # epoch after the cut
-
-
-class CppqPolicy:
+class CppqPolicy(Quadrisection):
     """Single-owner mutable policy state; one instance per replication."""
 
     def __init__(self, config: CppqConfig, env, stream: RngStream,
                  sensitivity_mode: str = UNIT_SCALE):
-        if sensitivity_mode not in (UNIT_SCALE, SENSITIVITY_CORRECT):
-            raise ValueError(f"unknown sensitivity mode {sensitivity_mode!r}")
-        self.config = config
-        self.env = env
-        self.part = build_partition(env.d, config.J_request)
-        J = self.part.J
-        self.J = J
-        reward_sens = 2.0
-        if sensitivity_mode == SENSITIVITY_CORRECT:
-            reward_sens = 2.0 * env.r_max
+        super().__init__(config, env, sensitivity_mode)
+        J = self.J
         eps_branch = config.eps / 2.0 if math.isfinite(config.eps) else math.inf
         self._reward_agg = [
             TreeAggregator(eps_branch, config.T, stream.child(f"reward/{k}"),
-                           width=J, sensitivity=reward_sens)
+                           width=J, sensitivity=2.0 * self._revenue_bound)
             for k in range(5)]
         self._count_agg = [
             TreeAggregator(eps_branch, config.T, stream.child(f"count/{k}"),
@@ -106,39 +71,17 @@ class CppqPolicy:
         self._mu_cur = np.zeros((5, J))
         self._r_snap = np.zeros((5, J))
         self._mu_snap = np.zeros((5, J))
-        # per-cube price interval, epoch and pointer
-        self._lo = np.full(J, float(env.p_lo))
-        self._hi = np.full(J, float(env.p_hi))
-        self._epoch = np.ones(J, dtype=np.int64)
-        self._pointer = np.zeros(J, dtype=np.int64)
-        self.shrink_count = np.zeros(J, dtype=np.int64)
-        self._expected_t = 1
         self._u = np.zeros(J)
         self._v = np.zeros(J)
 
-    def price_grid(self, j: int) -> PriceGrid:
-        """Value view of cube j's current grid."""
-        lo, hi = self._lo[j], self._hi[j]
-        w = hi - lo
-        return PriceGrid(rho=(lo, lo + 0.25 * w, lo + 0.5 * w, lo + 0.75 * w, hi),
-                         epoch=int(self._epoch[j]), pointer=int(self._pointer[j]))
-
-    def choose_price(self, x, t: int, j: int | None = None) -> float:
-        if not 1 <= t <= self.config.T:
-            raise ValueError(f"t={t} outside horizon [1, {self.config.T}]")
-        if j is None:
-            j = cube_index(self.part, x)
-        k = phase_index(t)
-        return self._lo[j] + (k - 1) / 4.0 * (self._hi[j] - self._lo[j])
+    choose_price = Quadrisection.choose_price
 
     def update(self, x, p: float, y: float, t: int, j: int | None = None) -> list:
         """Fold in one observation; returns any shrink events fired.
 
         ``j`` may carry a precomputed cube index for the same x (hot loop).
         """
-        if t != self._expected_t:
-            raise RuntimeError(f"updates must arrive in order: expected t={self._expected_t}, got {t}")
-        self._expected_t += 1
+        self._tick(t)
         j_t = cube_index(self.part, x) if j is None else j
         k = phase_index(t) - 1
         u, v = self._u, self._v
@@ -162,26 +105,13 @@ class CppqPolicy:
         gate13 = (mu13 >= cfg.c2) & (mu13 > 0)
         gate35 = (mu35 >= cfg.c2) & (mu35 > 0)
         with np.errstate(invalid="ignore"):
-            left_gap = np.minimum(q[2] - q[1], q[1] - q[0])
-            right_gap = np.minimum(q[2] - q[3], q[3] - q[4])
+            left_gap, right_gap = gaps(q)
             left = gate13 & (left_gap > 3.0 * cfg.c1 / np.sqrt(np.maximum(mu13, 1e-300))
                              + 3.0 * cfg.c1_prime / np.maximum(mu13, 1e-300))
             right = gate35 & (right_gap > 3.0 * cfg.c1 / np.sqrt(np.maximum(mu35, 1e-300))
                               + 3.0 * cfg.c1_prime / np.maximum(mu35, 1e-300))
-        right &= ~left  # left cut wins if both fire
-        events = []
-        if left.any() or right.any():
-            w = self._hi - self._lo
-            self._lo = np.where(left, self._lo + 0.25 * w, self._lo)
-            self._hi = np.where(right, self._hi - 0.25 * w, self._hi)
-            cut = left | right
-            self._epoch[cut] += 1
-            self._pointer[cut] = t
-            self.shrink_count[cut] += 1
+        cut, events = self._cut(left, right, t)
+        if events:
             self._r_snap[:, cut] = self._r_cur[:, cut]
             self._mu_snap[:, cut] = self._mu_cur[:, cut]
-            for j in np.flatnonzero(cut):
-                events.append(ShrinkEvent(t=t, cube=int(j),
-                                          direction=LEFT_CUT if left[j] else RIGHT_CUT,
-                                          epoch=int(self._epoch[j])))
         return events

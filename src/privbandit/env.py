@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .partition import HypercubePartition, cube_index, cube_index_many
+from .partition import HypercubePartition, cube_index_many
 from .prng import RngStream
 
 
@@ -53,6 +53,15 @@ class DemandEnvironment:
 
     def realize_demand(self, p, x, stream: RngStream):
         raise NotImplementedError
+
+    def episode_demand(self, stream: RngStream, X: np.ndarray):
+        """Demand oracle y(i, p) for a whole episode with contexts X (shape (T, d)).
+
+        y(i, p) is the realized demand of customer i at price p, drawn from
+        ``stream``; subclasses pre-draw the episode's randomness so the call
+        is plain arithmetic.
+        """
+        return lambda i, p: self.realize_demand(p, X[i], stream)
 
     def _check_price(self, p):
         p = np.asarray(p, dtype=float)
@@ -124,6 +133,15 @@ class LinearDemandEnv(DemandEnvironment):
             return np.zeros(size)
         return stream.uniform(-w, w, size=size)
 
+    def episode_demand(self, stream: RngStream, X: np.ndarray):
+        noise = self.demand_noise(stream, len(X))
+        th0, th1, th2, th3 = self.theta
+        base = th0 + th1 * X[:, 0] + th2 * X[:, 1]  # demand minus the price term
+
+        def demand(i, p):
+            return base[i] + th3 * p + noise[i]
+        return demand
+
 
 def boundary_distance(part: HypercubePartition, x):
     """Euclidean distance from x to the boundary of its containing cube.
@@ -134,14 +152,12 @@ def boundary_distance(part: HypercubePartition, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError("context coordinates must lie in [0,1]")
-    m, h = part.m, part.h
-    digits = np.minimum((x * m).astype(np.int64), m - 1)
-    lo = digits * h
-    per_axis = np.minimum(x - lo, lo + h - x)
-    return float(np.min(per_axis, axis=-1)) if x.ndim == 1 else np.min(per_axis, axis=-1)
+    dist = boundary_distance_many(part, x)
+    return float(dist) if x.ndim == 1 else dist
 
 
 def boundary_distance_many(part: HypercubePartition, X: np.ndarray) -> np.ndarray:
+    """boundary_distance over the last axis of X, without the domain check."""
     X = np.asarray(X, dtype=float)
     m, h = part.m, part.h
     digits = np.minimum((X * m).astype(np.int64), m - 1)
@@ -175,42 +191,37 @@ class AdversarialEnv(DemandEnvironment):
     def r_max(self) -> float:
         return 1.0
 
+    def _bit_and_distance(self, x):
+        """nu bit of x's cube and x's distance to that cube's boundary."""
+        return (np.asarray(self.nu)[cube_index_many(self.partition, x)],
+                boundary_distance_many(self.partition, x))
+
     def mean_demand(self, p, x):
         self._check_price(p)
         self._check_context(x)
-        x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
-        nu_arr = np.asarray(self.nu)
-        if x.ndim == 1:
-            bit = nu_arr[cube_index(self.partition, x)]
-            dist = boundary_distance(self.partition, x)
-        else:
-            bit = nu_arr[cube_index_many(self.partition, x)]
-            dist = boundary_distance_many(self.partition, x)
+        bit, dist = self._bit_and_distance(x)
         return 2.0 / 3.0 - p / 2.0 + bit * (1.0 / 3.0 - p / 2.0) * dist
 
     def oracle_price(self, x):
         """Closed form: 2/3 on nu_j = 0 cubes, shifted down by the boundary
         distance term on nu_j = 1 cubes."""
         self._check_context(x)
-        x = np.asarray(x, dtype=float)
-        nu_arr = np.asarray(self.nu)
-        if x.ndim == 1:
-            bit = nu_arr[cube_index(self.partition, x)]
-            dist = boundary_distance(self.partition, x)
-        else:
-            bit = nu_arr[cube_index_many(self.partition, x)]
-            dist = boundary_distance_many(self.partition, x)
+        bit, dist = self._bit_and_distance(x)
         return 2.0 / 3.0 - bit * dist / (3.0 * (1.0 + dist))
 
     def realize_demand(self, p, x, stream: RngStream):
         lam = float(self.mean_demand(p, x))
         return float(stream.unit() < lam)
 
+    def episode_demand(self, stream: RngStream, X: np.ndarray):
+        unit = stream.unit(len(X))
+        bits, dists = self._bit_and_distance(X)
 
-def lambda_nu(env: AdversarialEnv, p, x):
-    """Mean Bernoulli demand of the adversarial family."""
-    return env.mean_demand(p, x)
+        def demand(i, p):
+            lam = 2.0 / 3.0 - p / 2.0 + bits[i] * (1.0 / 3.0 - p / 2.0) * dists[i]
+            return float(unit[i] < lam)
+        return demand
 
 
 def check_assumptions(env: DemandEnvironment, grid_resolution: int = 201,

@@ -14,16 +14,20 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cppq import UNIT_SCALE, CppqConfig, CppqPolicy
+from .cppq import CppqConfig, CppqPolicy
 from .env import AdversarialEnv, DemandEnvironment, LinearDemandEnv
 from .lppq import LppqConfig, LppqPolicy
+from .partition import PRESETS, UNIT_SCALE, build_partition, cube_index_many
 from .prng import RngStream, derive_stream
 
 NONPRIVATE = "nonprivate"  # central policy with noise disabled
+# kind -> (config class, policy class)
+POLICIES = {"cppq": (CppqConfig, CppqPolicy), "lppq": (LppqConfig, LppqPolicy),
+            NONPRIVATE: (CppqConfig, CppqPolicy)}
 
 
 @dataclass
@@ -65,24 +69,24 @@ class PolicySpec:
     sensitivity_mode: str = UNIT_SCALE
     overrides: tuple = ()  # ((name, value), ...) applied on top of the preset
 
+    def __post_init__(self):
+        if self.kind not in POLICIES:
+            raise ValueError(f"unknown policy kind {self.kind!r}; expected one of {list(POLICIES)}")
+        if self.preset not in PRESETS:
+            raise ValueError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
+
     def build_config(self, T: int, d: int):
-        kind = "cppq" if self.kind == NONPRIVATE else self.kind
         eps = math.inf if self.kind == NONPRIVATE else self.eps
-        cls = CppqConfig if kind == "cppq" else LppqConfig
-        maker = getattr(cls, self.preset, None)
-        if maker is None:
-            raise ValueError(f"unknown preset {self.preset!r}")
+        maker = getattr(POLICIES[self.kind][0], self.preset)
         cfg = maker(T=T, eps=eps, d=d, J_request=self.J_request)
         if self.overrides:
-            from dataclasses import replace
             cfg = replace(cfg, **dict(self.overrides), preset="custom")
         return cfg
 
     def build_policy(self, T: int, env: DemandEnvironment, stream: RngStream):
-        cfg = self.build_config(T, env.d)
-        if isinstance(cfg, CppqConfig):
-            return CppqPolicy(cfg, env, stream, sensitivity_mode=self.sensitivity_mode)
-        return LppqPolicy(cfg, env, stream, sensitivity_mode=self.sensitivity_mode)
+        policy_cls = POLICIES[self.kind][1]
+        return policy_cls(self.build_config(T, env.d), env, stream,
+                          sensitivity_mode=self.sensitivity_mode)
 
 
 def run_episode(policy, env: DemandEnvironment, T: int, stream: RngStream,
@@ -95,42 +99,21 @@ def run_episode(policy, env: DemandEnvironment, T: int, stream: RngStream,
     policy_env = getattr(policy, "env", env)
     if policy_env.d != env.d:
         raise ValueError("policy and environment dimension mismatch")
-    from .partition import cube_index_many
     X = env.sample_context(stream.child("context"), size=T)
-    demand_stream = stream.child("demand")
-    quadrisection = hasattr(policy, "part")  # our policies take precomputed cube ids
-    js = cube_index_many(policy.part, X) if quadrisection else None
-    linear = isinstance(env, LinearDemandEnv)
-    adversarial = isinstance(env, AdversarialEnv)
-    if linear:
-        noise = env.demand_noise(demand_stream, T)
-        th0, th1, th2, th3 = env.theta
-        base = th0 + th1 * X[:, 0] + th2 * X[:, 1]  # demand minus the price term
-    elif adversarial:
-        from .env import boundary_distance_many
-        unit = demand_stream.unit(T)
-        env_bits = np.asarray(env.nu)[cube_index_many(env.partition, X)]
-        env_dists = boundary_distance_many(env.partition, X)
+    demand = env.episode_demand(stream.child("demand"), X)
+    # quadrisection policies take precomputed cube ids
+    js = cube_index_many(policy.part, X) if hasattr(policy, "part") else None
     prices = np.empty(T)
     for i in range(T):
         t = i + 1
         x = X[i]
-        if quadrisection:
+        if js is None:
+            p = policy.choose_price(x, t)
+            policy.update(x, p, demand(i, p), t)
+        else:
             j = int(js[i])
             p = policy.choose_price(x, t, j=j)
-        else:
-            p = policy.choose_price(x, t)
-        if linear:
-            y = base[i] + th3 * p + noise[i]
-        elif adversarial:
-            lam = 2.0 / 3.0 - p / 2.0 + env_bits[i] * (1.0 / 3.0 - p / 2.0) * env_dists[i]
-            y = float(unit[i] < lam)
-        else:
-            y = env.realize_demand(p, x, demand_stream)
-        if quadrisection:
-            policy.update(x, p, y, t, j=j)
-        else:
-            policy.update(x, p, y, t)
+            policy.update(x, p, demand(i, p), t, j=j)
         prices[i] = p
     f_opt = env.mean_revenue(env.oracle_price(X), X)
     f_act = env.mean_revenue(prices, X)
@@ -171,17 +154,24 @@ def _run_one_args(args):
     return run_one(*args)
 
 
+def run_many(tasks, jobs: int = 1) -> list:
+    """run_one over (spec, env, T, root_seed, rep) tuples, results in task order.
+
+    With jobs > 1 the tasks run in a pool of `jobs` worker processes; every
+    task draws only from its own seeded streams, so the records are the same.
+    """
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_run_one_args, tasks))
+    return [run_one(*task) for task in tasks]
+
+
 def replicate(spec: PolicySpec, env: DemandEnvironment, T: int, reps: int,
               root_seed: int, jobs: int = 1) -> tuple:
     """Run `reps` independent episodes; returns (records, AggregateResult)."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    tasks = [(spec, env, T, root_seed, i) for i in range(reps)]
-    if jobs > 1 and reps > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_one_args, tasks))
-    else:
-        records = [run_one(*task) for task in tasks]
+    records = run_many([(spec, env, T, root_seed, i) for i in range(reps)], jobs)
     return records, aggregate(records)
 
 
@@ -217,7 +207,6 @@ def make_env(kind: str, **kwargs) -> DemandEnvironment:
     if kind == "linear":
         return LinearDemandEnv(**kwargs)
     if kind == "adversarial":
-        from .partition import build_partition
         d = kwargs.pop("d", 2)
         m = kwargs.pop("m", 2)
         part = build_partition(d, m**d)

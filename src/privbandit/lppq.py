@@ -22,94 +22,50 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cppq import SENSITIVITY_CORRECT, UNIT_SCALE, ShrinkEvent
-from .partition import (LEFT_CUT, RIGHT_CUT, PriceGrid, build_partition,
-                        cube_index, phase_index)
+from .partition import (UNIT_SCALE, HorizonConfig, Quadrisection, central_J, cube_index, gaps,
+                        phase_index)
 from .prng import RngStream
 
 
 @dataclass(frozen=True)
-class LppqConfig:
-    T: int
-    eps: float
-    J_request: int
+class LppqConfig(HorizonConfig):
     kappa1: float
     kappa2: float
     preset: str = "custom"
 
-    def __post_init__(self):
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive (or inf), got {self.eps}")
-        if self.J_request < 1:
-            raise ValueError(f"J_request must be >= 1, got {self.J_request}")
+    @staticmethod
+    def default_J(T: int, eps: float, d: int) -> int:
+        if math.isfinite(eps):
+            return math.ceil((eps * math.sqrt(T)) ** (d / (d + 2)))
+        # noise-free fallback: the central policy's cube count
+        return central_J(T, d)
 
     @classmethod
     def theorem(cls, T: int, eps: float, d: int = 2, J_request: int | None = None) -> "LppqConfig":
-        if J_request is None:
-            J_request = _default_J(T, eps, d)
-        return cls(T=T, eps=eps, J_request=J_request,
-                   kappa1=1.7 * math.sqrt(math.log(2 * T)),
-                   kappa2=31.0 * math.log(T), preset="theorem")
+        return cls._preset("theorem", T, eps, d, J_request,
+                           kappa1=1.7 * math.sqrt(math.log(2 * T)), kappa2=31.0 * math.log(T))
 
     @classmethod
     def experiment(cls, T: int, eps: float, d: int = 2, J_request: int | None = None) -> "LppqConfig":
-        if J_request is None:
-            J_request = _default_J(T, eps, d)
-        return cls(T=T, eps=eps, J_request=J_request,
-                   kappa1=0.001 * math.sqrt(math.log(T)),
-                   kappa2=0.1 * math.log(T), preset="experiment")
+        return cls._preset("experiment", T, eps, d, J_request,
+                           kappa1=0.001 * math.sqrt(math.log(T)), kappa2=0.1 * math.log(T))
 
 
-def _default_J(T: int, eps: float, d: int) -> int:
-    if math.isfinite(eps):
-        return math.ceil((eps * math.sqrt(T)) ** (d / (d + 2)))
-    # noise-free fallback: the central policy's cube count
-    return math.ceil(T ** (d / (d + 4)))
-
-
-class LppqPolicy:
+class LppqPolicy(Quadrisection):
     """Single-owner mutable policy state; one instance per replication."""
 
     def __init__(self, config: LppqConfig, env, stream: RngStream,
                  sensitivity_mode: str = UNIT_SCALE, trace=None):
-        if sensitivity_mode not in (UNIT_SCALE, SENSITIVITY_CORRECT):
-            raise ValueError(f"unknown sensitivity mode {sensitivity_mode!r}")
-        self.config = config
-        self.env = env
-        self.part = build_partition(env.d, config.J_request)
-        J = self.part.J
-        self.J = J
+        super().__init__(config, env, sensitivity_mode)
         self.noise_enabled = math.isfinite(config.eps)
-        self.noise_scale = 2.0 / config.eps if self.noise_enabled else 0.0
-        if sensitivity_mode == SENSITIVITY_CORRECT:
-            self.noise_scale *= env.r_max
+        self.noise_scale = 2.0 / config.eps * self._revenue_bound if self.noise_enabled else 0.0
         self._eps_eff = config.eps if self.noise_enabled else 1.0
         self._stream = stream.child("ldp-noise")
         self._trace = trace  # optional callable receiving (t, z)
-        self._r = np.zeros((5, J))
-        self._snap = np.zeros((5, J))
-        self._lo = np.full(J, float(env.p_lo))
-        self._hi = np.full(J, float(env.p_hi))
-        self._epoch = np.ones(J, dtype=np.int64)
-        self._pointer = np.zeros(J, dtype=np.int64)
-        self.shrink_count = np.zeros(J, dtype=np.int64)
-        self._expected_t = 1
+        self._r = np.zeros((5, self.J))
+        self._snap = np.zeros((5, self.J))
 
-    def price_grid(self, j: int) -> PriceGrid:
-        lo, hi = self._lo[j], self._hi[j]
-        w = hi - lo
-        return PriceGrid(rho=(lo, lo + 0.25 * w, lo + 0.5 * w, lo + 0.75 * w, hi),
-                         epoch=int(self._epoch[j]), pointer=int(self._pointer[j]))
-
-    def choose_price(self, x, t: int, j: int | None = None) -> float:
-        if not 1 <= t <= self.config.T:
-            raise ValueError(f"t={t} outside horizon [1, {self.config.T}]")
-        if j is None:
-            j = cube_index(self.part, x)
-        k = phase_index(t)
-        return self._lo[j] + (k - 1) / 4.0 * (self._hi[j] - self._lo[j])
+    choose_price = Quadrisection.choose_price
 
     def record(self, x, p: float, y: float, t: int, j: int | None = None) -> np.ndarray:
         """Privatize one customer's record and fold it into the running sums.
@@ -117,8 +73,7 @@ class LppqPolicy:
         Returns the released vector z_t; z_t is the only artifact of
         (x, y, p) that reaches the stored state.
         """
-        if t != self._expected_t:
-            raise RuntimeError(f"records must arrive in order: expected t={self._expected_t}, got {t}")
+        self._tick(t)
         j_t = cube_index(self.part, x) if j is None else j
         z = self._stream.laplace(self.noise_scale, size=self.J) if self.noise_enabled \
             else np.zeros(self.J)
@@ -128,7 +83,6 @@ class LppqPolicy:
 
     def _apply(self, z: np.ndarray, t: int):
         """State mutation from the privatized vector only."""
-        self._expected_t = t + 1
         self._r[phase_index(t) - 1] += z
         if self._trace is not None:
             self._trace(t, z)
@@ -142,27 +96,14 @@ class LppqPolicy:
         cfg = self.config
         hd = self.part.h ** self.part.d
         n = t - self._pointer
-        r_hat = self._r - self._snap
-        left_gap = np.minimum(r_hat[1] - r_hat[0], r_hat[2] - r_hat[1])
-        right_gap = np.minimum(r_hat[2] - r_hat[3], r_hat[3] - r_hat[4])
+        left_gap, right_gap = gaps(self._r - self._snap)
         sqrt_n = np.sqrt(n)
         threshold = 3.0 * cfg.kappa1 / (self._eps_eff * hd * sqrt_n)
         scale = 5.0 * hd * n
         gate = n >= cfg.kappa2
         left = gate & (left_gap / scale > threshold)
-        right = gate & (right_gap / scale > threshold) & ~left  # left cut wins
-        events = []
-        if left.any() or right.any():
-            w = self._hi - self._lo
-            self._lo = np.where(left, self._lo + 0.25 * w, self._lo)
-            self._hi = np.where(right, self._hi - 0.25 * w, self._hi)
-            cut = left | right
-            self._epoch[cut] += 1
-            self._pointer[cut] = t
-            self.shrink_count[cut] += 1
+        right = gate & (right_gap / scale > threshold)
+        cut, events = self._cut(left, right, t)
+        if events:
             self._snap[:, cut] = self._r[:, cut]
-            for j in np.flatnonzero(cut):
-                events.append(ShrinkEvent(t=t, cube=int(j),
-                                          direction=LEFT_CUT if left[j] else RIGHT_CUT,
-                                          epoch=int(self._epoch[j])))
         return events

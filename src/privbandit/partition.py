@@ -1,10 +1,15 @@
-"""Context-space hypercube partition and the 5-point quadrisection price grid.
+"""Context-space hypercube partition and the parallel quadrisection search.
 
 The context space [0,1]^d is cut into m^d congruent cubes (m per axis);
 each cube carries an arithmetic 5-point price grid over its current price
 interval.  A "cut" keeps either the upper three quarters of the interval
 (left-cut) or the lower three quarters (right-cut) and re-quartiles, so the
 interval width contracts by a factor 3/4 per epoch.
+
+:class:`Quadrisection` holds the search state both pricing policies share:
+per-cube intervals, epochs and pointers, the price walk, and the cut rule.
+The central and local policies differ only in the privatized per-slot
+statistics they feed it.
 """
 
 from __future__ import annotations
@@ -16,6 +21,12 @@ import numpy as np
 
 LEFT_CUT = "left-cut"
 RIGHT_CUT = "right-cut"
+
+# noise calibration of per-record revenue: unit-bounded, or the env's r_max
+UNIT_SCALE = "unit-scale"
+SENSITIVITY_CORRECT = "sensitivity-correct"
+
+PRESETS = ("theorem", "experiment")
 
 # Guard against m**d blowing past what float indexing can address.
 _MAX_CUBES = 2**62
@@ -133,3 +144,124 @@ def phase_index(t: int) -> int:
 def _quartiles(lo: float, hi: float) -> tuple:
     w = hi - lo
     return (lo, lo + 0.25 * w, lo + 0.5 * w, lo + 0.75 * w, hi)
+
+
+def central_J(T: int, d: int) -> int:
+    """Cube count T^(d/(d+4)) of the central policy's regret analysis."""
+    return math.ceil(T ** (d / (d + 4)))
+
+
+@dataclass(frozen=True)
+class HorizonConfig:
+    """Horizon, privacy budget and requested cube count shared by both policies."""
+
+    T: int
+    eps: float  # math.inf disables noise
+    J_request: int
+
+    def __post_init__(self):
+        if self.T < 1:
+            raise ValueError(f"T must be >= 1, got {self.T}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be positive (or inf), got {self.eps}")
+        if self.J_request < 1:
+            raise ValueError(f"J_request must be >= 1, got {self.J_request}")
+
+    @staticmethod
+    def default_J(T: int, eps: float, d: int) -> int:
+        """Cube count a preset requests when none is given."""
+        return central_J(T, d)
+
+    @classmethod
+    def _preset(cls, preset: str, T: int, eps: float, d: int, J_request: int | None,
+                **constants):
+        """Config named `preset` with the given constants; J_request None means default_J."""
+        if J_request is None:
+            J_request = cls.default_J(T, eps, d)
+        return cls(T=T, eps=eps, J_request=J_request, preset=preset, **constants)
+
+
+@dataclass
+class ShrinkEvent:
+    t: int
+    cube: int
+    direction: str
+    epoch: int  # epoch after the cut
+
+
+def gaps(s: np.ndarray) -> tuple:
+    """Left and right cut statistics of a (5, J) per-slot statistic.
+
+    The left gap is positive where s increases over slots 1..3, the right
+    gap where it decreases over slots 3..5.
+    """
+    left = np.minimum(s[1] - s[0], s[2] - s[1])
+    right = np.minimum(s[2] - s[3], s[3] - s[4])
+    return left, right
+
+
+class Quadrisection:
+    """Per-cube price intervals of the parallel quadrisection search.
+
+    Subclasses privatize the per-slot statistics, decide which cubes cut,
+    and reset their statistics on the cut mask that :meth:`_cut` returns.
+    """
+
+    def __init__(self, config: HorizonConfig, env, sensitivity_mode: str = UNIT_SCALE):
+        if sensitivity_mode not in (UNIT_SCALE, SENSITIVITY_CORRECT):
+            raise ValueError(f"unknown sensitivity mode {sensitivity_mode!r}")
+        self.config = config
+        self.env = env
+        # per-record revenue bound the privacy noise is scaled by
+        self._revenue_bound = env.r_max if sensitivity_mode == SENSITIVITY_CORRECT else 1.0
+        self.part = build_partition(env.d, config.J_request)
+        J = self.J = self.part.J
+        self._lo = np.full(J, float(env.p_lo))
+        self._hi = np.full(J, float(env.p_hi))
+        self._epoch = np.ones(J, dtype=np.int64)
+        self._pointer = np.zeros(J, dtype=np.int64)
+        self.shrink_count = np.zeros(J, dtype=np.int64)
+        self._expected_t = 1
+
+    def _tick(self, t: int):
+        """Advance the clock; periods must arrive as 1, 2, 3, ..."""
+        if t != self._expected_t:
+            raise RuntimeError(f"periods must arrive in order: expected t={self._expected_t}, got {t}")
+        self._expected_t = t + 1
+
+    def price_grid(self, j: int) -> PriceGrid:
+        """Value view of cube j's current grid."""
+        return PriceGrid(rho=_quartiles(self._lo[j], self._hi[j]),
+                         epoch=int(self._epoch[j]), pointer=int(self._pointer[j]))
+
+    def choose_price(self, x, t: int, j: int | None = None) -> float:
+        """Grid point k of cube j at phase k of period t.
+
+        ``j`` may carry a precomputed cube index for the same x (hot loop).
+        """
+        if not 1 <= t <= self.config.T:
+            raise ValueError(f"t={t} outside horizon [1, {self.config.T}]")
+        if j is None:
+            j = cube_index(self.part, x)
+        k = phase_index(t)
+        return self._lo[j] + (k - 1) / 4.0 * (self._hi[j] - self._lo[j])
+
+    def _cut(self, left: np.ndarray, right: np.ndarray, t: int) -> tuple:
+        """Cut the cubes flagged left or right at period t; left wins if both.
+
+        Returns (cut mask, shrink events).
+        """
+        right = right & ~left
+        cut = left | right
+        if not cut.any():
+            return cut, []
+        w = self._hi - self._lo
+        self._lo = np.where(left, self._lo + 0.25 * w, self._lo)
+        self._hi = np.where(right, self._hi - 0.25 * w, self._hi)
+        self._epoch[cut] += 1
+        self._pointer[cut] = t
+        self.shrink_count[cut] += 1
+        events = [ShrinkEvent(t=t, cube=int(j), direction=LEFT_CUT if left[j] else RIGHT_CUT,
+                              epoch=int(self._epoch[j]))
+                  for j in np.flatnonzero(cut)]
+        return cut, events

@@ -1,4 +1,4 @@
-"""Deterministic, labelled random streams and the Laplace/uniform samplers.
+"""Deterministic, labelled random streams and the Laplace sampler.
 
 Every source of randomness in the library flows through an :class:`RngStream`
 derived from a 64-bit root seed and a string label (e.g. ``"rep/7/policy"``).
@@ -19,22 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 ENV_SEED_VAR = "PRIVBANDIT_SEED"
-
-
-@dataclass(frozen=True)
-class LaplaceParams:
-    """Scale parameter b of the Laplace density (1/2b) exp(-|x|/b)."""
-
-    scale: float
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"Laplace scale must be positive, got {self.scale}")
 
 
 class RngStream:
@@ -94,16 +82,6 @@ def laplace_from_uniform(u, scale: float):
     half = u - 0.5
     out = -scale * np.sign(half) * np.log1p(-2.0 * np.abs(half))
     return float(out) if out.ndim == 0 else out
-
-
-def laplace_sample(stream: RngStream, params: LaplaceParams) -> float:
-    """One Laplace(0, params.scale) draw from the stream."""
-    return float(stream.laplace(params.scale))
-
-
-def uniform_sample(stream: RngStream, lo: float, hi: float) -> float:
-    """One uniform draw on [lo, hi)."""
-    return float(stream.uniform(lo, hi))
 
 
 def seed_from_env(default: int | None = None) -> int | None:

@@ -69,13 +69,12 @@ class TreeAggregator:
         self.n = 0
         self.alpha = np.zeros((self.L + 1, self.width))
         self.alpha_hat = np.zeros((self.L + 1, self.width))
-        self._last = np.zeros(self.width)
 
     def update(self, u):
         """Fold in one update and return the released running sum.
 
         Scalar aggregators accept and return floats; vector aggregators
-        accept shape-(width,) arrays and return a copy of the release.
+        accept shape-(width,) arrays and return a fresh release array.
         """
         if self.n >= self.capacity:
             raise CapacityError(f"aggregator capacity {self.capacity} exhausted")
@@ -99,18 +98,6 @@ class TreeAggregator:
                 released += self.alpha_hat[level]
             bits >>= 1
             level += 1
-        self._last = released
         if self.width == 1:
             return float(released[0])
-        return released.copy()
-
-    def snapshot(self):
-        """Most recent release (0 before any update); pure read."""
-        if self.width == 1:
-            return float(self._last[0])
-        return self._last.copy()
-
-
-def new_aggregator(eps_branch: float, T: int, stream: RngStream | None = None,
-                   width: int = 1, sensitivity: float = 2.0) -> TreeAggregator:
-    return TreeAggregator(eps_branch, T, stream, width=width, sensitivity=sensitivity)
+        return released

@@ -9,6 +9,18 @@ from privbandit.cli import (ConfigError, format_table, main, parse_config,
 from privbandit.svgplot import line_chart
 
 
+# well-formed JSON whose values are wrong; each must be a configuration error
+BAD_VALUE_DOCS = [
+    {"policy": {"kind": "lppq", "J": 0}},
+    {"policy": {"kind": "lppq", "J": "x"}},
+    {"policy": {"kind": "lppq", "kappa1": "x"}},
+    {"seed": "abc"},
+    {"env": {"kind": "cubic"}},
+    {"env": {"kind": "linear", "bogus": 1}},
+    {"env": {"kind": "adversarial", "bogus": 1}},
+]
+
+
 class TestParseConfig:
     def test_minimal(self):
         cfg = parse_config({"T": [100], "eps": [1.0]})
@@ -53,6 +65,9 @@ class TestParseConfig:
             parse_config({"preset": "table-xxx"})
         with pytest.raises(ConfigError):
             parse_config([1, 2])
+        for doc in BAD_VALUE_DOCS:
+            with pytest.raises(ConfigError):
+                parse_config(doc)
 
     def test_policy_overrides_collected(self):
         cfg = parse_config({"T": [10], "eps": [1.0],
@@ -130,6 +145,14 @@ class TestSimulate:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["simulate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("doc", BAD_VALUE_DOCS)
+    def test_bad_values_are_config_errors(self, doc, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"T": [10], "eps": [1.0], **doc}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from privbandit import (AdversarialEnv, LinearDemandEnv, boundary_distance,
-                        check_assumptions, lambda_nu)
+                        check_assumptions)
 from privbandit.env import DemandEnvironment, boundary_distance_many
 from privbandit.partition import HypercubePartition, build_partition
 from privbandit.prng import derive_stream
@@ -98,11 +98,11 @@ class TestAdversarialDemand:
         flat = self.make((0, 0, 0, 0))
         bump = self.make((1, 1, 1, 1))
         # nu = 0: lambda = 2/3 - p/2 regardless of position
-        assert lambda_nu(flat, 2.0 / 3.0, (0.25, 0.25)) == pytest.approx(1.0 / 3.0)
+        assert flat.mean_demand(2.0 / 3.0, (0.25, 0.25)) == pytest.approx(1.0 / 3.0)
         # nu = 1 on the boundary: distance term vanishes
-        assert lambda_nu(bump, 2.0 / 3.0, (0.5, 0.25)) == pytest.approx(1.0 / 3.0)
+        assert bump.mean_demand(2.0 / 3.0, (0.5, 0.25)) == pytest.approx(1.0 / 3.0)
         # nu = 1, p = 0, distance 0.1: 2/3 + (1/3)(0.1) = 0.7
-        assert lambda_nu(bump, 0.0, (0.1, 0.3)) == pytest.approx(0.7)
+        assert bump.mean_demand(0.0, (0.1, 0.3)) == pytest.approx(0.7)
 
     def test_lambda_is_a_probability(self):
         ps = np.linspace(0.0, 1.0, 101)

@@ -126,6 +126,19 @@ class TestPolicySpec:
         with pytest.raises(ValueError):
             PolicySpec(kind="cppq", preset="bogus", eps=1.0).build_config(100, 2)
 
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown policy kind"):
+            PolicySpec(kind="bogus")
+
+    def test_non_preset_attribute_rejected_at_construction(self):
+        # a config-class attribute that is not a preset must not be called
+        with pytest.raises(ValueError, match="unknown preset"):
+            PolicySpec(kind="lppq", preset="__init__", eps=1.0)
+
+    def test_zero_cube_count_still_rejected(self):
+        with pytest.raises(ValueError):
+            PolicySpec(kind="cppq", eps=1.0, J_request=0).build_config(100, 2)
+
     def test_explicit_cube_count(self):
         cfg = PolicySpec(kind="lppq", eps=1.0, J_request=9).build_config(100, 2)
         assert cfg.J_request == 9

@@ -1,8 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privbandit import build_partition, cube_index, init_price_grid, phase_index, shrink_grid
-from privbandit.partition import LEFT_CUT, RIGHT_CUT, cube_index_many
+from privbandit.partition import (LEFT_CUT, RIGHT_CUT, HorizonConfig, Quadrisection, ShrinkEvent,
+                                  cube_index_many)
 from privbandit.prng import derive_stream
 
 
@@ -153,3 +158,44 @@ class TestCutSafety:
                 assert p_star >= g.rho[1] - 1e-12  # left-cut keeps it
             if vals[4] <= vals[3] <= vals[2]:
                 assert p_star <= g.rho[3] + 1e-12  # right-cut keeps it
+
+
+@st.composite
+def cut_sequences(draw):
+    """(J, p_lo, p_hi, [(left mask, right mask), ...]) for one search."""
+    J = draw(st.integers(1, 6))
+    p_lo = draw(st.floats(-5.0, 5.0))
+    p_hi = p_lo + draw(st.floats(0.5, 5.0))
+    masks = st.lists(st.booleans(), min_size=J, max_size=J)
+    steps = draw(st.lists(st.tuples(masks, masks), max_size=30))
+    return J, p_lo, p_hi, steps
+
+
+class TestQuadrisection:
+    @settings(max_examples=200, deadline=None)
+    @given(cut_sequences())
+    def test_vectorized_cuts_match_chained_shrink_grid(self, case):
+        # a right cut computes hi - w/4 where shrink_grid takes lo + 3w/4,
+        # so interval ends agree to rounding, epochs and pointers exactly
+        J, p_lo, p_hi, steps = case
+        quad = Quadrisection(HorizonConfig(T=len(steps) + 1, eps=1.0, J_request=J),
+                             SimpleNamespace(d=1, p_lo=p_lo, p_hi=p_hi))
+        ref = [init_price_grid(p_lo, p_hi)] * J
+        tol = 1e-12 * (p_hi - p_lo)
+        for t, (left, right) in enumerate(steps, start=1):
+            left, right = np.array(left), np.array(right)
+            cut, events = quad._cut(left, right, t)
+            expected = []
+            for j in np.flatnonzero(left | right):
+                direction = LEFT_CUT if left[j] else RIGHT_CUT  # left wins
+                ref[j] = shrink_grid(ref[j], direction, t)
+                expected.append(ShrinkEvent(t=t, cube=int(j), direction=direction,
+                                            epoch=ref[j].epoch))
+            assert events == expected
+            np.testing.assert_array_equal(cut, left | right)
+            for j in range(J):
+                grid = quad.price_grid(j)
+                assert (grid.epoch, grid.pointer) == (ref[j].epoch, ref[j].pointer)
+                assert abs(grid.rho[0] - ref[j].rho[0]) <= tol
+                assert abs(grid.rho[4] - ref[j].rho[4]) <= tol
+        np.testing.assert_array_equal(quad.shrink_count, [g.epoch - 1 for g in ref])

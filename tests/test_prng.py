@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from privbandit import LaplaceParams, derive_stream, laplace_from_uniform, laplace_sample, uniform_sample
+from privbandit import derive_stream, laplace_from_uniform
 from privbandit.prng import laplace_log_density_ratio, seed_from_env
 
 
@@ -26,15 +26,13 @@ class TestLaplaceInverseCdf:
             laplace_from_uniform(0.3, 0.0)
         with pytest.raises(ValueError):
             laplace_from_uniform(0.3, -1.0)
-        with pytest.raises(ValueError):
-            LaplaceParams(scale=-2.0)
 
     def test_laplace_sample_uses_stream(self):
         s = derive_stream(7, "laplace")
-        v = laplace_sample(s, LaplaceParams(scale=3.0))
+        v = s.laplace(3.0)
         assert math.isfinite(v)
         # same stream state -> same draw
-        assert laplace_sample(derive_stream(7, "laplace"), LaplaceParams(scale=3.0)) == v
+        assert derive_stream(7, "laplace").laplace(3.0) == v
 
 
 class TestUniform:
@@ -53,9 +51,9 @@ class TestUniform:
     def test_rejects_bad_bounds(self):
         s = derive_stream(1, "u")
         with pytest.raises(ValueError):
-            uniform_sample(s, 1.0, 1.0)
+            s.uniform(1.0, 1.0)
         with pytest.raises(ValueError):
-            uniform_sample(s, 2.0, 1.0)
+            s.uniform(2.0, 1.0)
 
 
 class TestStreamDerivation:

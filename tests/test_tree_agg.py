@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from privbandit import CapacityError, TreeAggregator, new_aggregator
+from privbandit import CapacityError, TreeAggregator
 from privbandit.prng import derive_stream
 
 
@@ -13,27 +13,27 @@ def noiseless(T, width=1):
 
 class TestConstruction:
     def test_levels_and_noise_scale(self):
-        agg = new_aggregator(1.0, 8, derive_stream(0, "t"))
+        agg = TreeAggregator(1.0, 8, derive_stream(0, "t"))
         assert agg.L == 3
         assert agg.noise_scale == pytest.approx(8.0)  # 2 * (L+1) / eps
 
     def test_infinite_budget_disables_noise(self):
-        agg = new_aggregator(math.inf, 1024)
+        agg = TreeAggregator(math.inf, 1024)
         assert agg.L == 10
         assert not agg.noise_enabled
 
     def test_non_power_of_two_capacity(self):
-        agg = new_aggregator(0.5, 500, derive_stream(0, "t"))
+        agg = TreeAggregator(0.5, 500, derive_stream(0, "t"))
         assert agg.L == 8  # floor(log2 500)
         assert agg.noise_scale == pytest.approx(36.0)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            new_aggregator(1.0, 0, derive_stream(0, "t"))
+            TreeAggregator(1.0, 0, derive_stream(0, "t"))
         with pytest.raises(ValueError):
-            new_aggregator(0.0, 8, derive_stream(0, "t"))
+            TreeAggregator(0.0, 8, derive_stream(0, "t"))
         with pytest.raises(ValueError):
-            new_aggregator(1.0, 8, None)  # finite budget needs a stream
+            TreeAggregator(1.0, 8, None)  # finite budget needs a stream
 
 
 class TestNoiselessReleases:
@@ -64,23 +64,6 @@ class TestNoiselessReleases:
         np.testing.assert_allclose(rel, np.cumsum(us), rtol=1e-12, atol=1e-12)
 
 
-class TestSnapshot:
-    def test_fresh_is_zero(self):
-        assert noiseless(8).snapshot() == 0.0
-
-    def test_tracks_last_release(self):
-        agg = noiseless(8)
-        for u in (1.0, 1.0, 1.0):
-            agg.update(u)
-        assert agg.snapshot() == 3.0
-
-    def test_exact_sum(self):
-        agg = noiseless(8)
-        agg.update(0.2)
-        agg.update(0.3)
-        assert agg.snapshot() == pytest.approx(0.5)
-
-
 class TestCapacity:
     def test_overflow_raises(self):
         agg = noiseless(4)
@@ -100,7 +83,7 @@ class TestNoise:
     def test_zero_signal_releases_are_laplace_sums(self):
         # with u = 0 each release is a sum of at most L+1 independent draws
         T = 64
-        agg = new_aggregator(1.0, T, derive_stream(3, "zero"), width=4000)
+        agg = TreeAggregator(1.0, T, derive_stream(3, "zero"), width=4000)
         zero = np.zeros(4000)
         for n in range(1, T + 1):
             rel = agg.update(zero)
@@ -114,7 +97,7 @@ class TestNoise:
         # width = independent replications of the same scalar stream
         T, width = 8, 10000
         us = derive_stream(4, "bias").uniform(0, 1, size=T)
-        agg = new_aggregator(1.0, T, derive_stream(5, "noise"), width=width)
+        agg = TreeAggregator(1.0, T, derive_stream(5, "noise"), width=width)
         tol = 4 * (agg.L + 1) * agg.noise_scale / 100
         for n, u in enumerate(us, start=1):
             rel = agg.update(np.full(width, u))
@@ -123,7 +106,7 @@ class TestNoise:
     def test_concentration_bound(self):
         # released sums stay within 19/eps * ln^2(2 T^3) for >= 1 - 3/T of trials
         T, width, eps_b = 256, 10000, 1.0
-        agg = new_aggregator(eps_b, T, derive_stream(6, "conc"), width=width)
+        agg = TreeAggregator(eps_b, T, derive_stream(6, "conc"), width=width)
         us = derive_stream(7, "conc-sig").uniform(0, 1, size=T)
         bound = 19.0 / eps_b * math.log(2 * T**3) ** 2
         for n, u in enumerate(us, start=1):
