@@ -121,7 +121,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown sensitivity_mode {doc['sensitivity_mode']!r}")
         cfg.sensitivity_mode = doc["sensitivity_mode"]
     if "include_nonprivate" in doc:
-        cfg.include_nonprivate = bool(doc["include_nonprivate"])
+        if not isinstance(doc["include_nonprivate"], bool):
+            raise ConfigError(f"include_nonprivate must be true or false, "
+                              f"got {doc['include_nonprivate']!r}")
+        cfg.include_nonprivate = doc["include_nonprivate"]
     if not cfg.T_list or not cfg.eps_list:
         raise ConfigError("T and eps lists must be non-empty")
     return cfg
@@ -250,6 +253,7 @@ def privacy_check(eps: float, trials: int, max_revenue: float = 1.0, seed: int =
     """
     if not eps > 0:
         raise ConfigError(f"eps must be positive, got {eps}")
+    _positive_int(trials, "trials")
     stream = RngStream(seed, "privacy-check")
     max_log_ratio = -math.inf
     worst_l1 = 0.0
@@ -306,8 +310,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     which = args.which
-    cfg = parse_config({"preset": which})
-    cfg.reps = args.reps
+    try:
+        cfg = parse_config({"preset": which, "reps": args.reps})
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     cfg.seed = args.seed if args.seed is not None else DEFAULT_SEED
     records, aggregates = run_grid(cfg, jobs=args.jobs)
     try:

@@ -3,16 +3,17 @@
 Per context cube, the policy cycles a 5-point price grid and tracks, per
 grid slot k, a privatized cumulative revenue r_{j,k} and customer count
 mu_{j,k}, both released through binary-counter aggregators (one vector
-aggregator of width J per slot and statistic, budget eps/2 each).  The
-contribution vectors are one-hot in the visited cube but *every* cube's
-aggregator is updated every period, so an observer cannot tell which cube
-a customer fell into.  Epoch-differenced ratios r_hat/mu_hat estimate the
+aggregator of width J per slot and statistic, budget eps/2 each).  A release
+is the exact running sum plus at most L+1 active Laplace rows: the textbook
+counter's mechanism and draws with half its state.  The contribution vectors
+are one-hot in the visited cube but *every* cube's aggregator is updated
+every period, so an observer cannot tell which cube a customer fell into.  Epoch-differenced ratios r_hat/mu_hat estimate the
 revenue curve on the grid; three increasing (decreasing) values trigger a
 left (right) cut of the price interval.
 
 Aggregator clocks are local: a slot-k aggregator ticks only on periods with
 phase k, keeping its update indices contiguous, which the binary-counter
-zeroing logic requires.
+row retirement requires.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ class CppqConfig(HorizonConfig):
 class CppqPolicy(Quadrisection):
     """Single-owner mutable policy state; one instance per replication."""
 
+    S = 2  # released revenue r and count mu per slot
+
     def __init__(self, config: CppqConfig, env, stream: RngStream,
                  sensitivity_mode: str = UNIT_SCALE):
         super().__init__(config, env, sensitivity_mode)
@@ -66,11 +69,6 @@ class CppqPolicy(Quadrisection):
             TreeAggregator(eps_branch, config.T, stream.child(f"count/{k}"),
                            width=J, sensitivity=2.0)
             for k in range(5)]
-        # current released values and snapshots at the last pointer reset
-        self._r_cur = np.zeros((5, J))
-        self._mu_cur = np.zeros((5, J))
-        self._r_snap = np.zeros((5, J))
-        self._mu_snap = np.zeros((5, J))
         self._u = np.zeros(J)
         self._v = np.zeros(J)
 
@@ -87,16 +85,15 @@ class CppqPolicy(Quadrisection):
         u, v = self._u, self._v
         u[j_t] = p * y
         v[j_t] = 1.0
-        self._r_cur[k] = self._reward_agg[k].update(u)
-        self._mu_cur[k] = self._count_agg[k].update(v)
+        self._sums[0, k] = self._reward_agg[k].update(u)
+        self._sums[1, k] = self._count_agg[k].update(v)
         u[j_t] = 0.0
         v[j_t] = 0.0
         return self._maybe_shrink(t)
 
     def _maybe_shrink(self, t: int) -> list:
         cfg = self.config
-        r_hat = self._r_cur - self._r_snap
-        mu_hat = self._mu_cur - self._mu_snap
+        r_hat, mu_hat = self._since_cut()
         # ratio estimates; invalid slots are masked by the count gate below
         with np.errstate(divide="ignore", invalid="ignore"):
             q = np.where(mu_hat > 0, r_hat / np.where(mu_hat > 0, mu_hat, 1.0), np.nan)
@@ -110,8 +107,4 @@ class CppqPolicy(Quadrisection):
                              + 3.0 * cfg.c1_prime / np.maximum(mu13, 1e-300))
             right = gate35 & (right_gap > 3.0 * cfg.c1 / np.sqrt(np.maximum(mu35, 1e-300))
                               + 3.0 * cfg.c1_prime / np.maximum(mu35, 1e-300))
-        cut, events = self._cut(left, right, t)
-        if events:
-            self._r_snap[:, cut] = self._r_cur[:, cut]
-            self._mu_snap[:, cut] = self._mu_cur[:, cut]
-        return events
+        return self._cut(left, right, t)

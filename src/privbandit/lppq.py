@@ -62,8 +62,6 @@ class LppqPolicy(Quadrisection):
         self._eps_eff = config.eps if self.noise_enabled else 1.0
         self._stream = stream.child("ldp-noise")
         self._trace = trace  # optional callable receiving (t, z)
-        self._r = np.zeros((5, self.J))
-        self._snap = np.zeros((5, self.J))
 
     choose_price = Quadrisection.choose_price
 
@@ -83,7 +81,7 @@ class LppqPolicy(Quadrisection):
 
     def _apply(self, z: np.ndarray, t: int):
         """State mutation from the privatized vector only."""
-        self._r[phase_index(t) - 1] += z
+        self._sums[0, phase_index(t) - 1] += z
         if self._trace is not None:
             self._trace(t, z)
 
@@ -96,14 +94,11 @@ class LppqPolicy(Quadrisection):
         cfg = self.config
         hd = self.part.h ** self.part.d
         n = t - self._pointer
-        left_gap, right_gap = gaps(self._r - self._snap)
+        left_gap, right_gap = gaps(self._since_cut()[0])
         sqrt_n = np.sqrt(n)
         threshold = 3.0 * cfg.kappa1 / (self._eps_eff * hd * sqrt_n)
         scale = 5.0 * hd * n
         gate = n >= cfg.kappa2
         left = gate & (left_gap / scale > threshold)
         right = gate & (right_gap / scale > threshold)
-        cut, events = self._cut(left, right, t)
-        if events:
-            self._snap[:, cut] = self._r[:, cut]
-        return events
+        return self._cut(left, right, t)

@@ -86,11 +86,7 @@ def cube_index(part: HypercubePartition, x) -> int:
         raise ValueError(f"context must have shape ({part.d},), got {x.shape}")
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise ValueError(f"context coordinates must lie in [0,1], got {x}")
-    digits = np.minimum((x * part.m).astype(np.int64), part.m - 1)
-    j = 0
-    for c in digits:
-        j = j * part.m + int(c)
-    return j
+    return int(cube_index_many(part, x[None, :])[0])
 
 
 def cube_index_many(part: HypercubePartition, X: np.ndarray) -> np.ndarray:
@@ -203,9 +199,13 @@ def gaps(s: np.ndarray) -> tuple:
 class Quadrisection:
     """Per-cube price intervals of the parallel quadrisection search.
 
-    Subclasses privatize the per-slot statistics, decide which cubes cut,
-    and reset their statistics on the cut mask that :meth:`_cut` returns.
+    Each cube also carries ``S`` per-slot statistics ``_sums`` (shape
+    (S, 5, J)) and their values ``_snap`` at the cube's last cut.
+    Subclasses privatize the statistics, read them back through
+    :meth:`_since_cut`, and decide which cubes cut.
     """
+
+    S = 1  # statistics per slot
 
     def __init__(self, config: HorizonConfig, env, sensitivity_mode: str = UNIT_SCALE):
         if sensitivity_mode not in (UNIT_SCALE, SENSITIVITY_CORRECT):
@@ -221,6 +221,8 @@ class Quadrisection:
         self._epoch = np.ones(J, dtype=np.int64)
         self._pointer = np.zeros(J, dtype=np.int64)
         self.shrink_count = np.zeros(J, dtype=np.int64)
+        self._sums = np.zeros((self.S, 5, J))
+        self._snap = np.zeros((self.S, 5, J))
         self._expected_t = 1
 
     def _tick(self, t: int):
@@ -228,6 +230,10 @@ class Quadrisection:
         if t != self._expected_t:
             raise RuntimeError(f"periods must arrive in order: expected t={self._expected_t}, got {t}")
         self._expected_t = t + 1
+
+    def _since_cut(self) -> np.ndarray:
+        """Per-slot statistics accumulated since each cube's last cut, (S, 5, J)."""
+        return self._sums - self._snap
 
     def price_grid(self, j: int) -> PriceGrid:
         """Value view of cube j's current grid."""
@@ -246,22 +252,23 @@ class Quadrisection:
         k = phase_index(t)
         return self._lo[j] + (k - 1) / 4.0 * (self._hi[j] - self._lo[j])
 
-    def _cut(self, left: np.ndarray, right: np.ndarray, t: int) -> tuple:
+    def _cut(self, left: np.ndarray, right: np.ndarray, t: int) -> list:
         """Cut the cubes flagged left or right at period t; left wins if both.
 
-        Returns (cut mask, shrink events).
+        The cut cubes' statistics restart from their current values.
+        Returns the shrink events.
         """
         right = right & ~left
         cut = left | right
         if not cut.any():
-            return cut, []
+            return []
         w = self._hi - self._lo
         self._lo = np.where(left, self._lo + 0.25 * w, self._lo)
         self._hi = np.where(right, self._hi - 0.25 * w, self._hi)
         self._epoch[cut] += 1
         self._pointer[cut] = t
         self.shrink_count[cut] += 1
-        events = [ShrinkEvent(t=t, cube=int(j), direction=LEFT_CUT if left[j] else RIGHT_CUT,
-                              epoch=int(self._epoch[j]))
-                  for j in np.flatnonzero(cut)]
-        return cut, events
+        self._snap[..., cut] = self._sums[..., cut]
+        return [ShrinkEvent(t=t, cube=int(j), direction=LEFT_CUT if left[j] else RIGHT_CUT,
+                            epoch=int(self._epoch[j]))
+                for j in np.flatnonzero(cut)]

@@ -1,12 +1,11 @@
 """Binary-counter noisy prefix sums (tree-based aggregation).
 
-Releases a privatized running sum of a stream of updates.  Internally the
-history is folded into at most L+1 = floor(log2 T)+1 partial sums: the
-partial at level l, when active, covers a contiguous block of 2^l updates.
-Each release is the sum of the noisy partials selected by the binary digits
-of the local update counter, so any single update ever touches at most L+1
-stored partials - which is what makes the per-stream privacy budget split
-eps' = eps / (L+1) compose to eps.
+Each release is the exact running sum plus at most L+1 = floor(log2 T)+1
+active Laplace rows, one per set bit of the local update counter n.  Update
+n (lowest set bit lmin) retires the rows below lmin and draws a fresh row at
+lmin, so no update is ever covered by more than L+1 rows - which is what
+makes the per-stream budget split eps' = eps / (L+1) compose to eps.  This
+is the textbook counter with the same draws and half its state.
 
 An aggregator can be vector-valued (``width`` > 1): one update then carries
 a length-``width`` contribution vector and the machinery runs element-wise,
@@ -67,8 +66,9 @@ class TreeAggregator:
         self.width = int(width)
         self._stream = stream
         self.n = 0
-        self.alpha = np.zeros((self.L + 1, self.width))
-        self.alpha_hat = np.zeros((self.L + 1, self.width))
+        self.total = np.zeros(self.width)
+        # one Laplace row per level; rows of the unset bits of n are zero
+        self.noise = np.zeros((self.L + 1, self.width))
 
     def update(self, u):
         """Fold in one update and return the released running sum.
@@ -78,26 +78,15 @@ class TreeAggregator:
         """
         if self.n >= self.capacity:
             raise CapacityError(f"aggregator capacity {self.capacity} exhausted")
-        u = np.asarray(u, dtype=float).reshape(self.width)
+        self.total += np.asarray(u, dtype=float).reshape(self.width)
         self.n += 1
-        lmin = (self.n & -self.n).bit_length() - 1  # lowest set bit of n
-        self.alpha[lmin] = self.alpha[:lmin].sum(axis=0) + u
-        if lmin > 0:
-            self.alpha[:lmin] = 0.0
-            self.alpha_hat[:lmin] = 0.0
         if self.noise_enabled:
-            self.alpha_hat[lmin] = self.alpha[lmin] + self._stream.laplace(
-                self.noise_scale, size=self.width)
+            lmin = (self.n & -self.n).bit_length() - 1  # lowest set bit of n
+            self.noise[:lmin] = 0.0
+            self.noise[lmin] = self._stream.laplace(self.noise_scale, size=self.width)
+            released = self.total + self.noise.sum(axis=0)
         else:
-            self.alpha_hat[lmin] = self.alpha[lmin]
-        released = np.zeros(self.width)
-        bits = self.n
-        level = 0
-        while bits:
-            if bits & 1:
-                released += self.alpha_hat[level]
-            bits >>= 1
-            level += 1
+            released = self.total.copy()
         if self.width == 1:
             return float(released[0])
         return released

@@ -18,6 +18,9 @@ BAD_VALUE_DOCS = [
     {"env": {"kind": "cubic"}},
     {"env": {"kind": "linear", "bogus": 1}},
     {"env": {"kind": "adversarial", "bogus": 1}},
+    {"include_nonprivate": "false"},
+    {"include_nonprivate": 0},
+    {"include_nonprivate": "yes"},
 ]
 
 
@@ -183,6 +186,20 @@ class TestReproduce:
         text = capsys.readouterr().out
         assert "Non-Private" in text
         assert "T=50" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "table-lppq", "--reps", "0"],
+    ["reproduce", "slope-lppq", "--reps", "-2"],
+    ["privacy-check", "--eps", "1", "--trials", "0"],
+    ["privacy-check", "--eps", "1", "--trials", "-5"],
+])
+def test_nonpositive_counts_are_config_errors(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "PASS" not in captured.out
 
 
 class TestPrivacyCheck:

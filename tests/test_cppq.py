@@ -180,7 +180,7 @@ class TestStructure:
         for t in range(1, 6):
             p = pol.choose_price(x, t)
             pol.update(x, p, 1.0, t)
-        mu = pol._mu_cur
+        mu = pol._sums[1]
         assert np.all(mu[:, 0] == 1.0)
         assert np.all(mu[:, 1:] == 0.0)
 
@@ -197,7 +197,7 @@ class TestStructure:
         x = (0.2, 0.2)
         p = pol.choose_price(x, 1)
         pol.update(x, p, 1.0, 1)
-        assert pol._mu_cur[0, 0] != 1.0  # Laplace noise moved the count
+        assert pol._sums[1][0, 0] != 1.0  # Laplace noise moved the count
 
     def test_budget_split_across_statistics(self):
         pol = make_policy(eps=1.0, T=64)

@@ -69,8 +69,8 @@ class TestRecord:
         x = (0.1, 0.1)
         for t in range(1, 21):
             pol.record(x, 1.0, 0.3, t)
-        np.testing.assert_allclose(pol._r[:, 0], 1.2)  # 4 cycles x 0.3
-        np.testing.assert_allclose(pol._r[:, 1:], 0.0)
+        np.testing.assert_allclose(pol._sums[0][:, 0], 1.2)  # 4 cycles x 0.3
+        np.testing.assert_allclose(pol._sums[0][:, 1:], 0.0)
 
     def test_noise_on_release_matches_stream_draws(self):
         # with y = 0 the released vector is exactly the Laplace draw
@@ -163,7 +163,7 @@ class TestPrivacyInterface:
             a.maybe_shrink(t)
             b._apply(z.copy(), t)
             b.maybe_shrink(t)
-        np.testing.assert_array_equal(a._r, b._r)
+        np.testing.assert_array_equal(a._sums[0], b._sums[0])
         np.testing.assert_array_equal(a._lo, b._lo)
         np.testing.assert_array_equal(a._hi, b._hi)
         np.testing.assert_array_equal(a._epoch, b._epoch)

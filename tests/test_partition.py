@@ -162,13 +162,14 @@ class TestCutSafety:
 
 @st.composite
 def cut_sequences(draw):
-    """(J, p_lo, p_hi, [(left mask, right mask), ...]) for one search."""
+    """(J, p_lo, p_hi, [(left mask, right mask), ...], statistics seed) for one search."""
     J = draw(st.integers(1, 6))
     p_lo = draw(st.floats(-5.0, 5.0))
     p_hi = p_lo + draw(st.floats(0.5, 5.0))
     masks = st.lists(st.booleans(), min_size=J, max_size=J)
     steps = draw(st.lists(st.tuples(masks, masks), max_size=30))
-    return J, p_lo, p_hi, steps
+    seed = draw(st.integers(0, 2**32 - 1))
+    return J, p_lo, p_hi, steps, seed
 
 
 class TestQuadrisection:
@@ -176,15 +177,19 @@ class TestQuadrisection:
     @given(cut_sequences())
     def test_vectorized_cuts_match_chained_shrink_grid(self, case):
         # a right cut computes hi - w/4 where shrink_grid takes lo + 3w/4,
-        # so interval ends agree to rounding, epochs and pointers exactly
-        J, p_lo, p_hi, steps = case
+        # so interval ends agree to rounding, epochs and pointers exactly;
+        # the snapshot takes the statistics exactly on the cut cubes
+        J, p_lo, p_hi, steps, seed = case
+        rng = np.random.default_rng(seed)
         quad = Quadrisection(HorizonConfig(T=len(steps) + 1, eps=1.0, J_request=J),
                              SimpleNamespace(d=1, p_lo=p_lo, p_hi=p_hi))
         ref = [init_price_grid(p_lo, p_hi)] * J
         tol = 1e-12 * (p_hi - p_lo)
         for t, (left, right) in enumerate(steps, start=1):
             left, right = np.array(left), np.array(right)
-            cut, events = quad._cut(left, right, t)
+            quad._sums[:] = rng.normal(size=quad._sums.shape)
+            before = quad._snap.copy()
+            events = quad._cut(left, right, t)
             expected = []
             for j in np.flatnonzero(left | right):
                 direction = LEFT_CUT if left[j] else RIGHT_CUT  # left wins
@@ -192,7 +197,9 @@ class TestQuadrisection:
                 expected.append(ShrinkEvent(t=t, cube=int(j), direction=direction,
                                             epoch=ref[j].epoch))
             assert events == expected
-            np.testing.assert_array_equal(cut, left | right)
+            cut = left | right
+            np.testing.assert_array_equal(quad._snap[..., cut], quad._sums[..., cut])
+            np.testing.assert_array_equal(quad._snap[..., ~cut], before[..., ~cut])
             for j in range(J):
                 grid = quad.price_grid(j)
                 assert (grid.epoch, grid.pointer) == (ref[j].epoch, ref[j].pointer)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privbandit import CapacityError, TreeAggregator
 from privbandit.prng import derive_stream
@@ -42,20 +44,20 @@ class TestNoiselessReleases:
         assert [agg.update(1.0) for _ in range(3)] == [1.0, 2.0, 3.0]
 
     def test_hand_traced_six_updates(self):
-        # n = 6 = 110b: release = alpha_hat[1] + alpha_hat[2]
+        # n = 6 = 110b: the release is the exact sum 12, no noise rows
         agg = noiseless(8)
         out = [agg.update(u) for u in (5.0, -2.0, 0.0, 7.0, 1.0, 1.0)]
         assert out[-1] == pytest.approx(11.0 + 1.0)
-        assert agg.alpha[1, 0] == pytest.approx(2.0)   # spans updates 5,6
-        assert agg.alpha[2, 0] == pytest.approx(10.0)  # spans updates 1..4
+        assert agg.n == 6
+        assert agg.total[0] == pytest.approx(12.0)
         assert out == pytest.approx([5.0, 3.0, 3.0, 10.0, 11.0, 12.0])
 
-    def test_alpha_hat_mirrors_alpha(self):
+    def test_noise_rows_stay_zero(self):
         agg = noiseless(32)
         stream = derive_stream(1, "mirror")
         for u in stream.uniform(-1, 1, size=20):
-            agg.update(float(u))
-            np.testing.assert_array_equal(agg.alpha_hat, agg.alpha)
+            assert agg.update(float(u)) == agg.total[0]
+            np.testing.assert_array_equal(agg.noise, 0.0)
 
     def test_exact_prefix_sums(self):
         us = derive_stream(2, "exact").uniform(-5, 5, size=1024)
@@ -113,6 +115,52 @@ class TestNoise:
             rel = agg.update(np.full(width, u))
             frac_ok = np.mean(np.abs(rel - us[:n].sum()) <= bound)
             assert frac_ok >= 1 - 3 / T
+
+
+class TextbookCounter:
+    """Binary counter as published: exact and noisy partial sums per level,
+    release = sum of the noisy partials of the set bits of n."""
+
+    def __init__(self, L, width, stream, scale):
+        self.alpha = np.zeros((L + 1, width))
+        self.alpha_hat = np.zeros((L + 1, width))
+        self.stream, self.scale, self.n = stream, scale, 0
+
+    def update(self, u):
+        self.n += 1
+        lmin = (self.n & -self.n).bit_length() - 1
+        self.alpha[lmin] = self.alpha[:lmin].sum(axis=0) + u
+        self.alpha[:lmin] = 0.0
+        self.alpha_hat[:lmin] = 0.0
+        self.alpha_hat[lmin] = self.alpha[lmin] + self.stream.laplace(
+            self.scale, size=self.alpha.shape[1])
+        levels = [l for l in range(len(self.alpha)) if self.n >> l & 1]
+        magnitude = (np.abs(self.alpha[levels]) + np.abs(self.alpha_hat[levels])).sum(axis=0)
+        return self.alpha_hat[levels].sum(axis=0), magnitude
+
+
+class TestTextbookReference:
+    @settings(max_examples=60, deadline=None)
+    @given(capacity=st.integers(1, 300), width=st.integers(1, 6),
+           eps=st.floats(0.01, 100.0), seed=st.integers(0, 2**32 - 1))
+    def test_releases_match_textbook_counter(self, capacity, width, eps, seed):
+        agg = TreeAggregator(eps, capacity, derive_stream(seed, "agg"), width=width)
+        ref = TextbookCounter(agg.L, width, derive_stream(seed, "agg"), agg.noise_scale)
+        us = derive_stream(seed, "signal").uniform(-1, 1, size=(capacity, width))
+        for u in us:
+            got = np.atleast_1d(agg.update(u))
+            want, magnitude = ref.update(u)
+            # relative to the size of the summed terms (partials and noise),
+            # so a release that cancels to near zero is still checked
+            assert np.all(np.abs(got - want) <= 1e-9 * magnitude)
+
+    def test_active_rows_are_the_set_bits_of_n(self):
+        agg = TreeAggregator(1.0, 100, derive_stream(8, "rows"), width=3)
+        for n in range(1, 101):
+            agg.update(np.ones(3))
+            bits = np.array([n >> l & 1 for l in range(agg.L + 1)], dtype=bool)
+            np.testing.assert_array_equal((agg.noise != 0).all(axis=1), bits)
+            np.testing.assert_array_equal((agg.noise == 0).all(axis=1), ~bits)
 
 
 class TestBudgetStructure:
