@@ -6,7 +6,10 @@ simulate       run a JSON-configured experiment grid, emit CSV + summary JSON
 reproduce      run a built-in preset (table-cppq | table-lppq | slope-lppq)
 privacy-check  analytic density-ratio audit of the local-DP recorder
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error.
+simulate and reproduce share one run path, :func:`_run_experiment`; --jobs
+must be >= 1.  Policy constants are checked by PolicySpec: cppq and
+nonprivate take c1, c1_prime, c2; lppq takes kappa1, kappa2.
+Exit codes: 0 success, 2 configuration error (one ``error:`` line), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harness import (NONPRIVATE, POLICIES, PolicySpec, aggregate, fit_loglog_slope, make_env,
+from .harness import (NONPRIVATE, PolicySpec, aggregate, fit_loglog_slope, make_env,
                       percentage_regret, run_many)
-from .partition import PRESETS, SENSITIVITY_CORRECT, UNIT_SCALE
+from .partition import SENSITIVITY_CORRECT, UNIT_SCALE
 from .prng import RngStream, seed_from_env
 from .svgplot import line_chart
 
@@ -52,11 +55,11 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     sensitivity_mode: str = UNIT_SCALE
     include_nonprivate: bool = False
+    specs: tuple = ()  # the PolicySpecs to run, in output order
 
 
 _TOP_KEYS = {"preset", "env", "policy", "T", "eps", "reps", "seed",
              "sensitivity_mode", "include_nonprivate"}
-_POLICY_KEYS = {"kind", "preset", "J", "c1", "c1_prime", "c2", "kappa1", "kappa2"}
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -92,19 +95,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if policy is not None:
         if not isinstance(policy, dict):
             raise ConfigError("policy must be an object")
-        unknown = set(policy) - _POLICY_KEYS
-        if unknown:
-            raise ConfigError(f"unknown policy keys: {sorted(unknown)}")
         cfg.policy_kind = policy.get("kind", cfg.policy_kind)
-        if cfg.policy_kind not in POLICIES:
-            raise ConfigError(f"unknown policy kind {cfg.policy_kind!r}")
         cfg.policy_preset = policy.get("preset", cfg.policy_preset)
-        if cfg.policy_preset not in PRESETS:
-            raise ConfigError(f"unknown policy preset {cfg.policy_preset!r}")
         if policy.get("J") is not None:
             cfg.J = _positive_int(policy["J"], "policy J")
-        cfg.policy_overrides = {k: _number(v, f"policy {k}") for k, v in policy.items()
-                                if k in ("c1", "c1_prime", "c2", "kappa1", "kappa2")}
+        cfg.policy_overrides = {k: v for k, v in policy.items()
+                                if k not in ("kind", "preset", "J")}
 
     if "T" in doc:
         cfg.T_list = tuple(_positive_int(v, "each T entry") for v in _as_list(doc["T"], "T"))
@@ -127,6 +123,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         cfg.include_nonprivate = doc["include_nonprivate"]
     if not cfg.T_list or not cfg.eps_list:
         raise ConfigError("T and eps lists must be non-empty")
+    try:
+        cfg.specs = _policy_specs(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -140,13 +140,6 @@ def _positive_int(v, name):
     if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         raise ConfigError(f"{name} must be a positive integer, got {v!r}")
     return v
-
-
-def _number(v, name):
-    try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {v!r}") from None
 
 
 def _parse_eps(v):
@@ -169,26 +162,28 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _policy_specs(cfg: ExperimentConfig):
-    """Expand the config into the (spec, label) list to run, in output order."""
-    overrides = tuple(sorted(cfg.policy_overrides.items()))
-    specs = []
-    if cfg.include_nonprivate or cfg.policy_kind == NONPRIVATE:
-        specs.append(PolicySpec(kind=NONPRIVATE, preset=cfg.policy_preset,
-                                J_request=cfg.J, sensitivity_mode=cfg.sensitivity_mode))
-    if cfg.policy_kind != NONPRIVATE:
-        for eps in cfg.eps_list:
-            specs.append(PolicySpec(kind=cfg.policy_kind, preset=cfg.policy_preset, eps=eps,
-                                    J_request=cfg.J, sensitivity_mode=cfg.sensitivity_mode,
-                                    overrides=overrides))
-    return specs
+def _policy_specs(cfg: ExperimentConfig) -> tuple:
+    """The specs to run, in output order: the non-private baseline first.
+
+    The baseline that include_nonprivate adds keeps the preset constants;
+    a non-private policy kind takes the overrides and ignores eps.
+    """
+    def spec(kind, eps=math.inf, overrides=()):
+        return PolicySpec(kind=kind, preset=cfg.policy_preset, eps=eps, J_request=cfg.J,
+                          sensitivity_mode=cfg.sensitivity_mode, overrides=overrides)
+
+    overrides = tuple(cfg.policy_overrides.items())
+    if cfg.policy_kind == NONPRIVATE:
+        return (spec(NONPRIVATE, overrides=overrides),)
+    baseline = (spec(NONPRIVATE),) if cfg.include_nonprivate else ()
+    return baseline + tuple(spec(cfg.policy_kind, eps, overrides) for eps in cfg.eps_list)
 
 
 def run_grid(cfg: ExperimentConfig, jobs: int = 1):
     """Run the whole (policy, eps, T, rep) grid; returns (records, aggregates)."""
     env = make_env(cfg.env_kind, **cfg.env_params)
     tasks = [(spec, env, T, cfg.seed, rep)
-             for spec in _policy_specs(cfg)
+             for spec in cfg.specs
              for T in cfg.T_list
              for rep in range(cfg.reps)]
     records = run_many(tasks, jobs)
@@ -224,7 +219,7 @@ def format_table(aggregates, T_list) -> str:
     """Rows: Non-Private then descending eps; columns: the T grid."""
     rows = {}
     for a in aggregates:
-        key = "Non-Private" if a.policy == NONPRIVATE or math.isinf(a.eps) else f"eps={_fmt(a.eps)}"
+        key = "Non-Private" if math.isinf(a.eps) else f"eps={_fmt(a.eps)}"
         rows.setdefault(key, {})[a.T] = a.mean_pct_regret
 
     def row_order(key):
@@ -251,8 +246,10 @@ def privacy_check(eps: float, trials: int, max_revenue: float = 1.0, seed: int =
     mechanism and compares its maximum against the analytic bound
     eps * max_revenue.
     """
-    if not eps > 0:
-        raise ConfigError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ConfigError(f"eps must be positive and finite, got {eps}")
+    if not 0 < max_revenue < math.inf:
+        raise ConfigError(f"max revenue must be positive and finite, got {max_revenue}")
     _positive_int(trials, "trials")
     stream = RngStream(seed, "privacy-check")
     max_log_ratio = -math.inf
@@ -279,52 +276,47 @@ def privacy_check(eps: float, trials: int, max_revenue: float = 1.0, seed: int =
     }
 
 
+def _run_experiment(args, doc, out_dir, names):
+    """parse_config, run_grid, then write names (CSV, summary) into out_dir unless None.
+
+    --seed, else $PRIVBANDIT_SEED, replaces the document's seed before parsing.
+    """
+    _positive_int(args.jobs, "--jobs")
+    try:
+        seed = seed_from_env() if args.seed is None else args.seed
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if seed is not None and isinstance(doc, dict):
+        doc = {**doc, "seed": seed}
+    cfg = parse_config(doc)
+    records, aggregates = run_grid(cfg, jobs=args.jobs)
+    if out_dir is not None:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            write_csv(records, os.path.join(out_dir, names[0]))
+            write_summary(aggregates, os.path.join(out_dir, names[1]))
+        except OSError as exc:
+            raise OSError(f"cannot write output: {exc}") from None
+    return cfg, aggregates
+
+
 def _cmd_simulate(args) -> int:
     try:
         with open(args.config) as f:
             doc = json.load(f)
     except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 3
+        raise OSError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
-        print(f"error: malformed config {args.config}:{exc.lineno}: {exc.msg}", file=sys.stderr)
-        return 2
-    try:
-        cfg = parse_config(doc)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
-    records, aggregates = run_grid(cfg, jobs=args.jobs)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        write_csv(records, os.path.join(args.out, "runs.csv"))
-        write_summary(aggregates, os.path.join(args.out, "summary.json"))
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 3
+        raise ConfigError(f"malformed config {args.config}:{exc.lineno}: {exc.msg}") from None
+    cfg, aggregates = _run_experiment(args, doc, args.out, ("runs.csv", "summary.json"))
     print(format_table(aggregates, cfg.T_list))
     return 0
 
 
 def _cmd_reproduce(args) -> int:
     which = args.which
-    try:
-        cfg = parse_config({"preset": which, "reps": args.reps})
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    cfg.seed = args.seed if args.seed is not None else DEFAULT_SEED
-    records, aggregates = run_grid(cfg, jobs=args.jobs)
-    try:
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            write_csv(records, os.path.join(args.out, f"{which}.csv"))
-            write_summary(aggregates, os.path.join(args.out, f"{which}-summary.json"))
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 3
+    cfg, aggregates = _run_experiment(args, {"preset": which, "reps": args.reps}, args.out,
+                                      (f"{which}.csv", f"{which}-summary.json"))
     if which in ("table-cppq", "table-lppq"):
         print(f"Mean percentage regret, {cfg.reps} reps, seed {cfg.seed}")
         print(format_table(aggregates, cfg.T_list))
@@ -340,25 +332,20 @@ def _cmd_reproduce(args) -> int:
     svg = line_chart(series, xlabel="ln T", ylabel="ln(regret / ln T)",
                      title="Cumulative regret scaling (local privacy)")
     out_dir = args.out or "."
+    path = os.path.join(out_dir, "slope-lppq.svg")
     try:
         os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "slope-lppq.svg")
         with open(path, "w") as f:
             f.write(svg)
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 3
+        raise OSError(f"cannot write output: {exc}") from None
     print(f"chart written to {path}")
     return 0
 
 
 def _cmd_privacy_check(args) -> int:
-    try:
-        report = privacy_check(args.eps, args.trials, max_revenue=args.max_revenue,
-                               seed=args.seed if args.seed is not None else 0)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = privacy_check(args.eps, args.trials, max_revenue=args.max_revenue,
+                           seed=args.seed if args.seed is not None else 0)
     if report["max_revenue"] > 1.0:
         print(f"WARNING: per-record revenue up to {report['max_revenue']:g} exceeds the "
               f"normalized range; Lap(2/eps) only guarantees a density-ratio bound of "
@@ -375,19 +362,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="privbandit",
         description="Privacy-preserving personalized pricing simulations")
     sub = parser.add_subparsers(dest="command", required=True)
+    run = argparse.ArgumentParser(add_help=False)  # options of the experiment run path
+    run.add_argument("--seed", type=int, default=None,
+                     help="root seed; default $PRIVBANDIT_SEED, then the config's")
+    run.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
 
-    p_sim = sub.add_parser("simulate", help="run a JSON-configured experiment grid")
+    p_sim = sub.add_parser("simulate", parents=[run], help="run a JSON-configured experiment grid")
     p_sim.add_argument("--config", required=True, help="JSON config file")
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--jobs", type=int, default=1)
     p_sim.add_argument("--out", default="out")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_rep = sub.add_parser("reproduce", help="run a built-in reproduction preset")
+    p_rep = sub.add_parser("reproduce", parents=[run], help="run a built-in reproduction preset")
     p_rep.add_argument("which", choices=["table-cppq", "table-lppq", "slope-lppq"])
     p_rep.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    p_rep.add_argument("--seed", type=int, default=None)
-    p_rep.add_argument("--jobs", type=int, default=1)
     p_rep.add_argument("--out", default=None)
     p_rep.set_defaults(func=_cmd_reproduce)
 
@@ -401,13 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and args.command in ("simulate", "reproduce"):
-        env_seed = seed_from_env()
-        if env_seed is not None:
-            args.seed = env_seed
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ConfigError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 3
 
 
 if __name__ == "__main__":

@@ -14,20 +14,23 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .cppq import CppqConfig, CppqPolicy
 from .env import AdversarialEnv, DemandEnvironment, LinearDemandEnv
 from .lppq import LppqConfig, LppqPolicy
-from .partition import PRESETS, UNIT_SCALE, build_partition, cube_index_many
+from .partition import PRESETS, UNIT_SCALE, HorizonConfig, build_partition, cube_index_many
 from .prng import RngStream, derive_stream
 
 NONPRIVATE = "nonprivate"  # central policy with noise disabled
 # kind -> (config class, policy class)
 POLICIES = {"cppq": (CppqConfig, CppqPolicy), "lppq": (LppqConfig, LppqPolicy),
             NONPRIVATE: (CppqConfig, CppqPolicy)}
+# kind -> the constants its overrides may set: config fields beyond T, eps, J_request, preset
+CONSTANTS = {kind: {f.name for f in fields(config)} - {f.name for f in fields(HorizonConfig)}
+             - {"preset"} for kind, (config, _) in POLICIES.items()}
 
 
 @dataclass
@@ -60,7 +63,10 @@ def percentage_regret(rec: RunRecord) -> float:
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Picklable recipe for building a policy inside a worker process."""
+    """Picklable recipe for building a policy inside a worker process.
+
+    Checks kind, preset and overrides at construction; non-private means eps = inf.
+    """
 
     kind: str  # "cppq" | "lppq" | "nonprivate"
     preset: str = "experiment"
@@ -70,17 +76,25 @@ class PolicySpec:
     overrides: tuple = ()  # ((name, value), ...) applied on top of the preset
 
     def __post_init__(self):
-        if self.kind not in POLICIES:
+        if not isinstance(self.kind, str) or self.kind not in POLICIES:
             raise ValueError(f"unknown policy kind {self.kind!r}; expected one of {list(POLICIES)}")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
+        if self.kind == NONPRIVATE:
+            object.__setattr__(self, "eps", math.inf)
+        unknown = sorted({name for name, _ in self.overrides} - CONSTANTS[self.kind])
+        if unknown:
+            raise ValueError(f"policy {self.kind} has no constant {', '.join(unknown)}; "
+                             f"it takes {', '.join(sorted(CONSTANTS[self.kind]))}")
+        for name, value in self.overrides:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"policy {name} must be a number, got {value!r}")
 
     def build_config(self, T: int, d: int):
-        eps = math.inf if self.kind == NONPRIVATE else self.eps
         maker = getattr(POLICIES[self.kind][0], self.preset)
-        cfg = maker(T=T, eps=eps, d=d, J_request=self.J_request)
+        cfg = maker(T=T, eps=self.eps, d=d, J_request=self.J_request)
         if self.overrides:
-            cfg = replace(cfg, **dict(self.overrides), preset="custom")
+            cfg = replace(cfg, **{k: float(v) for k, v in self.overrides}, preset="custom")
         return cfg
 
     def build_policy(self, T: int, env: DemandEnvironment, stream: RngStream):
@@ -127,9 +141,7 @@ def run_one(spec: PolicySpec, env: DemandEnvironment, T: int, root_seed: int, re
     policy = spec.build_policy(T, env, stream.child("policy"))
     _, _, oracle, realized, path = run_episode(policy, env, T, stream, keep_path=keep_path)
     return RunRecord(
-        policy=spec.kind, env=env.name, T=T,
-        eps=math.inf if spec.kind == NONPRIVATE else spec.eps,
-        J=policy.J, seed=root_seed, rep=rep,
+        policy=spec.kind, env=env.name, T=T, eps=spec.eps, J=policy.J, seed=root_seed, rep=rep,
         cumulative_regret=oracle - realized,
         oracle_revenue=oracle,
         realized_expected_revenue=realized,

@@ -55,13 +55,12 @@ class LppqPolicy(Quadrisection):
     """Single-owner mutable policy state; one instance per replication."""
 
     def __init__(self, config: LppqConfig, env, stream: RngStream,
-                 sensitivity_mode: str = UNIT_SCALE, trace=None):
+                 sensitivity_mode: str = UNIT_SCALE):
         super().__init__(config, env, sensitivity_mode)
         self.noise_enabled = math.isfinite(config.eps)
         self.noise_scale = 2.0 / config.eps * self._revenue_bound if self.noise_enabled else 0.0
         self._eps_eff = config.eps if self.noise_enabled else 1.0
         self._stream = stream.child("ldp-noise")
-        self._trace = trace  # optional callable receiving (t, z)
 
     choose_price = Quadrisection.choose_price
 
@@ -82,8 +81,6 @@ class LppqPolicy(Quadrisection):
     def _apply(self, z: np.ndarray, t: int):
         """State mutation from the privatized vector only."""
         self._sums[0, phase_index(t) - 1] += z
-        if self._trace is not None:
-            self._trace(t, z)
 
     def update(self, x, p: float, y: float, t: int, j: int | None = None) -> list:
         """record + shrink check; the common per-period driver entry point."""

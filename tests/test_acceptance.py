@@ -6,15 +6,18 @@ pytest's capture) and then asserts.  The regret benchmarks run the full
 once per session and shared across criteria.
 """
 
+import hashlib
 import json
 import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import privbandit
 from privbandit import (CppqConfig, CppqPolicy, LinearDemandEnv, PolicySpec,
                         TreeAggregator, make_env, replicate)
 from privbandit.cli import privacy_check
@@ -52,13 +55,22 @@ def _pct_grid(kind, eps_list, T_list):
     return pct, reg
 
 
+def _source_digest() -> str:
+    """sha256 over the library's module sources, in file-name order."""
+    h = hashlib.sha256()
+    for path in sorted(Path(privbandit.__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 def _cached(request, key, compute):
     """The 30-rep grids take minutes; persist them across pytest runs.
 
-    Results are keyed by the run parameters, so changing REPS/SEED (or
+    Results are keyed by the run parameters and by a digest of the library
+    sources, so changing REPS/SEED or any module under src/privbandit (or
     clearing .pytest_cache / passing --cache-clear) recomputes.
     """
-    full_key = f"privbandit/{key}-reps{REPS}-seed{SEED}"
+    full_key = f"privbandit/{key}-reps{REPS}-seed{SEED}-src{_source_digest()}"
     hit = request.config.cache.get(full_key, None)
     if hit is not None:
         return hit

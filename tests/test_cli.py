@@ -21,6 +21,11 @@ BAD_VALUE_DOCS = [
     {"include_nonprivate": "false"},
     {"include_nonprivate": 0},
     {"include_nonprivate": "yes"},
+    # each policy kind takes only its own config's constants
+    {"policy": {"kind": "lppq", "c1": 0.1}},
+    {"policy": {"kind": "cppq", "kappa1": 1}},
+    {"policy": {"kind": "nonprivate", "kappa2": 1}},
+    {"policy": {"kind": "cppq", "bogus": 1}},
 ]
 
 
@@ -140,6 +145,24 @@ class TestSimulate:
             # 17 significant digits reproduce the doubles exactly
             assert pct == 100.0 * regret / oracle
 
+    def test_malformed_seed_env_is_config_error(self, small_config, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.setenv("PRIVBANDIT_SEED", "abc")
+        assert main(["simulate", "--config", str(small_config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_nonprivate_honours_its_constants(self, tmp_path):
+        outputs = []
+        for value in (0.5, 50.0):
+            path = tmp_path / f"np{value}.json"
+            path.write_text(json.dumps({"policy": {"kind": "nonprivate", "c1": value, "c2": value},
+                                        "T": [300], "reps": 2, "seed": 3}))
+            out = tmp_path / f"out{value}"
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            outputs.append((out / "runs.csv").read_bytes())
+        assert outputs[0] != outputs[1]
+
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "none.json")]) == 3
         assert "cannot read config" in capsys.readouterr().err
@@ -193,6 +216,12 @@ class TestReproduce:
     ["reproduce", "slope-lppq", "--reps", "-2"],
     ["privacy-check", "--eps", "1", "--trials", "0"],
     ["privacy-check", "--eps", "1", "--trials", "-5"],
+    ["reproduce", "table-lppq", "--reps", "1", "--jobs", "0"],
+    ["reproduce", "slope-lppq", "--reps", "1", "--jobs", "-3"],
+    ["privacy-check", "--eps", "1", "--trials", "5", "--max-revenue", "-1"],
+    ["privacy-check", "--eps", "1", "--trials", "5", "--max-revenue", "0"],
+    ["privacy-check", "--eps", "1", "--trials", "5", "--max-revenue", "inf"],
+    ["privacy-check", "--eps", "inf", "--trials", "5"],
 ])
 def test_nonpositive_counts_are_config_errors(argv, capsys):
     assert main(argv) == 2

@@ -107,9 +107,11 @@ class TestPercentageRegret:
 
 class TestPolicySpec:
     def test_nonprivate_is_noise_free_central(self):
-        cfg = PolicySpec(kind=NONPRIVATE, eps=0.5).build_config(T=100, d=2)
+        spec = PolicySpec(kind=NONPRIVATE, eps=0.5, overrides=(("c2", 3),))
+        cfg = spec.build_config(T=100, d=2)
         assert isinstance(cfg, CppqConfig)
-        assert math.isinf(cfg.eps)
+        assert math.isinf(spec.eps) and math.isinf(cfg.eps)
+        assert cfg.c2 == 3.0
 
     def test_kind_dispatch(self):
         assert isinstance(PolicySpec(kind="lppq", eps=1.0).build_config(100, 2), LppqConfig)
@@ -134,6 +136,19 @@ class TestPolicySpec:
         # a config-class attribute that is not a preset must not be called
         with pytest.raises(ValueError, match="unknown preset"):
             PolicySpec(kind="lppq", preset="__init__", eps=1.0)
+
+    @pytest.mark.parametrize("kind, overrides", [
+        ("cppq", (("T", 5),)),
+        ("cppq", (("eps", 1.0),)),
+        ("lppq", (("J_request", 4),)),
+        ("lppq", (("preset", 1.0),)),
+        ("lppq", (("c1", 0.1),)),
+        (NONPRIVATE, (("kappa1", 1.0),)),
+        ("cppq", (("c1", "x"),)),
+    ])
+    def test_only_the_kinds_constants_override(self, kind, overrides):
+        with pytest.raises(ValueError):
+            PolicySpec(kind=kind, eps=1.0, overrides=overrides)
 
     def test_zero_cube_count_still_rejected(self):
         with pytest.raises(ValueError):

@@ -181,14 +181,6 @@ class TestPrivacyInterface:
             replica.laplace(2.0 / eps, size=pol.J)
         assert pol._stream.unit() == replica.unit()
 
-    def test_trace_hook_sees_every_release(self):
-        seen = []
-        pol = make_policy(T=10, J=4, trace=lambda t, z: seen.append((t, z.copy())))
-        for t in range(1, 11):
-            pol.record((0.1, 0.1), 1.0, 0.3, t)
-        assert [t for t, _ in seen] == list(range(1, 11))
-        np.testing.assert_allclose(seen[0][1], [0.3, 0, 0, 0])
-
 
 class TestNoiseConcentration:
     def test_sum_of_private_noise_within_confidence_width(self):
