@@ -8,7 +8,8 @@ privacy-check  analytic density-ratio audit of the local-DP recorder
 
 simulate and reproduce share one run path, :func:`_run_experiment`; --jobs
 must be >= 1.  Policy constants are checked by PolicySpec: cppq and
-nonprivate take c1, c1_prime, c2; lppq takes kappa1, kappa2.
+nonprivate take c1, c1_prime, c2; lppq takes kappa1, kappa2; each must be
+a finite number >= 0.
 Exit codes: 0 success, 2 configuration error (one ``error:`` line), 3 I/O error.
 """
 

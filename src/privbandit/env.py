@@ -57,11 +57,17 @@ class DemandEnvironment:
     def episode_demand(self, stream: RngStream, X: np.ndarray):
         """Demand oracle y(i, p) for a whole episode with contexts X (shape (T, d)).
 
-        y(i, p) is the realized demand of customer i at price p, drawn from
-        ``stream``; subclasses pre-draw the episode's randomness so the call
-        is plain arithmetic.
+        y(i, p) is the realized demand of customer i at price p.  It must be
+        pure and accept index and price arrays as well as scalars, with
+        element-wise the same bits: a bulk engine asks for the periods cube
+        by cube, not in time order.  So subclasses pre-draw the episode's
+        randomness from ``stream`` and the call is plain arithmetic.  There
+        is no fallback to ``realize_demand``: it draws from the stream in
+        call order, which would tie the results to the order of the calls.
         """
-        return lambda i, p: self.realize_demand(p, X[i], stream)
+        raise NotImplementedError(
+            f"{type(self).__name__} has no episode_demand: an episode needs a pure demand "
+            f"oracle y(i, p) over pre-drawn randomness")
 
     def _check_price(self, p):
         p = np.asarray(p, dtype=float)
@@ -220,7 +226,7 @@ class AdversarialEnv(DemandEnvironment):
 
         def demand(i, p):
             lam = 2.0 / 3.0 - p / 2.0 + bits[i] * (1.0 / 3.0 - p / 2.0) * dists[i]
-            return float(unit[i] < lam)
+            return 1.0 * (unit[i] < lam)
         return demand
 
 

@@ -89,6 +89,13 @@ class PolicySpec:
         for name, value in self.overrides:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"policy {name} must be a number, got {value!r}")
+            # every preset constant is finite and >= 0 (c2 = 0 at eps = inf)
+            try:
+                in_range = 0 <= float(value) < math.inf
+            except OverflowError:  # an int too large for a float
+                in_range = False
+            if not in_range:
+                raise ValueError(f"policy {name} must be finite and >= 0, got {value!r}")
 
     def build_config(self, T: int, d: int):
         maker = getattr(POLICIES[self.kind][0], self.preset)
@@ -107,8 +114,10 @@ def run_episode(policy, env: DemandEnvironment, T: int, stream: RngStream,
                 keep_path: bool = False) -> tuple:
     """Drive one T-period episode; returns (prices, contexts, regret fields).
 
-    The context and demand-noise streams are pre-drawn so the per-period
-    loop only touches the policy.
+    The context and demand-noise streams are pre-drawn.  A policy with a
+    bulk engine (``play(js, demand) -> prices``, today lppq) runs the whole
+    episode in one call; any other policy is driven by the per-period
+    ``choose_price``/``update`` loop, which the engines are tested against.
     """
     policy_env = getattr(policy, "env", env)
     if policy_env.d != env.d:
@@ -117,18 +126,21 @@ def run_episode(policy, env: DemandEnvironment, T: int, stream: RngStream,
     demand = env.episode_demand(stream.child("demand"), X)
     # quadrisection policies take precomputed cube ids
     js = cube_index_many(policy.part, X) if hasattr(policy, "part") else None
-    prices = np.empty(T)
-    for i in range(T):
-        t = i + 1
-        x = X[i]
-        if js is None:
-            p = policy.choose_price(x, t)
-            policy.update(x, p, demand(i, p), t)
-        else:
-            j = int(js[i])
-            p = policy.choose_price(x, t, j=j)
-            policy.update(x, p, demand(i, p), t, j=j)
-        prices[i] = p
+    if hasattr(policy, "play"):
+        prices = policy.play(js, demand)
+    else:
+        prices = np.empty(T)
+        for i in range(T):
+            t = i + 1
+            x = X[i]
+            if js is None:
+                p = policy.choose_price(x, t)
+                policy.update(x, p, demand(i, p), t)
+            else:
+                j = int(js[i])
+                p = policy.choose_price(x, t, j=j)
+                policy.update(x, p, demand(i, p), t, j=j)
+            prices[i] = p
     f_opt = env.mean_revenue(env.oracle_price(X), X)
     f_act = env.mean_revenue(prices, X)
     per_step = f_opt - f_act

@@ -13,6 +13,14 @@ With eps = inf the Laplace draws are skipped and the confidence width is
 evaluated at unit eps: the width term covers both privacy and sampling
 noise, and letting it vanish entirely would allow cuts on pure demand
 noise.
+
+:meth:`LppqPolicy.play` runs a whole episode in bulk.  Between two cuts a
+cube's five prices are fixed, so each cube advances from cut to cut on
+blocks of pre-drawn Laplace rows instead of T per-period calls.  It computes
+the same z vectors, with the same noise draws, and folds them into the same
+sums, so the local-DP statement is unchanged; the per-period
+``choose_price``/``update`` path stays the online API and the reference the
+engine is tested against.
 """
 
 from __future__ import annotations
@@ -25,6 +33,9 @@ import numpy as np
 from .partition import (UNIT_SCALE, HorizonConfig, Quadrisection, central_J, cube_index, gaps,
                         phase_index)
 from .prng import RngStream
+
+BLOCK = 512  # periods per Laplace draw in play: (BLOCK, J) arrays at most, never (T, J)
+WINDOW = 128  # play's first look-ahead after a cut; it doubles while none fires
 
 
 @dataclass(frozen=True)
@@ -88,14 +99,90 @@ class LppqPolicy(Quadrisection):
         return self.maybe_shrink(t)
 
     def maybe_shrink(self, t: int) -> list:
+        left, right = self._cut_flags(self._since_cut()[0], t - self._pointer)
+        return self._cut(left, right, t)
+
+    def _cut_flags(self, s: np.ndarray, n: np.ndarray) -> tuple:
+        """Left and right cut flags from since-cut per-slot sums s (5, ...) after n periods.
+
+        The one copy of the cut rule: :meth:`maybe_shrink` applies it across
+        cubes, :meth:`play` across a window of periods of one cube.
+        """
         cfg = self.config
         hd = self.part.h ** self.part.d
-        n = t - self._pointer
-        left_gap, right_gap = gaps(self._since_cut()[0])
+        left_gap, right_gap = gaps(s)
         sqrt_n = np.sqrt(n)
         threshold = 3.0 * cfg.kappa1 / (self._eps_eff * hd * sqrt_n)
         scale = 5.0 * hd * n
         gate = n >= cfg.kappa2
         left = gate & (left_gap / scale > threshold)
         right = gate & (right_gap / scale > threshold)
-        return self._cut(left, right, t)
+        return left, right
+
+    def play(self, js, demand) -> np.ndarray:
+        """Run a whole episode from t = 1 in bulk; returns the T posted prices.
+
+        ``js[i]`` is customer i's cube and ``demand(idx, p)`` the episode's
+        demand oracle on index and price arrays.  The horizon is walked in
+        blocks of ``BLOCK`` periods, each with one Laplace draw of shape
+        (rows, J); inside a block each cube jumps from cut to cut.  The
+        policy ends in exactly the state T ``choose_price``/``update`` calls
+        leave, bit for bit, with the noise stream at the same position.
+        """
+        T, J = self.config.T, self.J
+        if self._expected_t != 1:
+            raise RuntimeError(f"play starts an episode at t=1; expected t={self._expected_t}")
+        js = np.asarray(js)
+        if js.shape != (T,):
+            raise ValueError(f"need one cube index per period of T={T}, got shape {js.shape}")
+        if js.min() < 0 or js.max() >= J:
+            raise ValueError(f"cube indices must lie in [0, {J})")
+        windows = [WINDOW] * J
+        prices = np.empty(T)
+        for b0 in range(0, T, BLOCK):
+            b1 = min(b0 + BLOCK, T)
+            noise = (self._stream.laplace(self.noise_scale, size=(b1 - b0, J))
+                     if self.noise_enabled else np.zeros((b1 - b0, J)))
+            for j in range(J):
+                windows[j] = self._advance(j, b0, b1, noise[:, j], js, demand, prices, windows[j])
+        self._expected_t = T + 1
+        return prices
+
+    def _advance(self, j: int, b0: int, b1: int, noise: np.ndarray, js: np.ndarray,
+                 demand, prices: np.ndarray, window: int) -> int:
+        """Play cube j over periods b0+1..b1 given its noise column; returns the next window.
+
+        Each step looks ``window`` periods ahead at the cube's fixed prices:
+        a sequential cumsum of the z entries, seeded with the carried sums,
+        repeats the loop's additions, and the cut rule is evaluated at every
+        period.  The first period that fires is cut through ``_cut`` and the
+        look-ahead restarts after it; a window without a cut doubles.
+        """
+        sums, snap = self._sums[0, :, j], self._snap[0, :, j]
+        s = b0
+        while s < b1:
+            e = min(s + window, b1)
+            idx = s + (js[s:e] == j).nonzero()[0]
+            slot = idx % 5
+            lo, hi = self._lo[j], self._hi[j]
+            p = lo + slot / 4.0 * (hi - lo)
+            prices[idx] = p
+            # row 0 carries the sums; row i - s + 1 holds customer i's z entry in its phase slot
+            periods = np.arange(s, e)
+            z = np.zeros((e - s + 1, 5))
+            z[0] = sums
+            z[periods - (s - 1), periods % 5] = noise[s - b0:e - b0]
+            z[idx - (s - 1), slot] += p * demand(idx, p)
+            run = np.cumsum(z, axis=0)[1:]
+            left, right = self._cut_flags((run - snap).T, periods + 1 - self._pointer[j])
+            fired = (left | right).nonzero()[0]
+            if not fired.size:
+                sums[:] = run[-1]
+                s, window = e, min(2 * window, BLOCK)
+                continue
+            r = fired[0]
+            sums[:] = run[r]
+            cube = np.arange(self.J) == j
+            self._cut(cube & left[r], cube & right[r], s + r + 1)
+            s, window = s + r + 1, WINDOW
+        return window

@@ -26,6 +26,10 @@ BAD_VALUE_DOCS = [
     {"policy": {"kind": "cppq", "kappa1": 1}},
     {"policy": {"kind": "nonprivate", "kappa2": 1}},
     {"policy": {"kind": "cppq", "bogus": 1}},
+    # constants must be finite and >= 0
+    {"policy": {"kind": "cppq", "c2": -5, "c1": float("nan")}},
+    {"policy": {"kind": "lppq", "kappa1": float("inf")}},
+    {"policy": {"kind": "cppq", "c1": 10**400}},
 ]
 
 

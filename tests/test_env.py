@@ -167,6 +167,34 @@ class _ConstantDemandEnv(DemandEnvironment):
         return 0.5
 
 
+class TestEpisodeDemand:
+    """The episode's demand oracle is pure and takes arrays as well as scalars."""
+
+    @pytest.mark.parametrize("env", [
+        LinearDemandEnv(),
+        AdversarialEnv(partition=build_partition(2, 4), nu=(1, 0, 0, 1)),
+        AdversarialEnv(partition=build_partition(2, 9), nu=(0, 1) * 4 + (1,)),
+    ], ids=["linear", "adversarial-m2", "adversarial-m3"])
+    def test_arrays_equal_scalar_calls_exactly(self, env):
+        T = 400
+        stream = derive_stream(6, "demand-oracle")
+        X = env.sample_context(stream.child("context"), size=T)
+        demand = env.episode_demand(stream.child("demand"), X)
+        idx = stream.integers(0, T, size=300)  # repeats and out of order on purpose
+        p = env.p_lo + (env.p_hi - env.p_lo) * stream.unit(300)
+        bulk = demand(idx, p)
+        scalar = np.array([demand(int(i), q) for i, q in zip(idx, p)])
+        assert bulk.shape == idx.shape
+        np.testing.assert_array_equal(bulk, scalar)
+        # pure: asking again, in another order, gives the same answers
+        np.testing.assert_array_equal(demand(idx[::-1], p[::-1]), scalar[::-1])
+
+    def test_base_class_has_no_stream_order_fallback(self):
+        env = _ConstantDemandEnv()
+        with pytest.raises(NotImplementedError, match="pure demand oracle"):
+            env.episode_demand(derive_stream(0, "demand"), np.zeros((3, 2)))
+
+
 class TestAssumptionAudit:
     def test_linear_env_passes(self):
         report = check_assumptions(LinearDemandEnv())

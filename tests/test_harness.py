@@ -150,6 +150,24 @@ class TestPolicySpec:
         with pytest.raises(ValueError):
             PolicySpec(kind=kind, eps=1.0, overrides=overrides)
 
+    @pytest.mark.parametrize("kind, overrides", [
+        ("cppq", (("c2", -5),)),
+        ("cppq", (("c1", math.nan),)),
+        ("lppq", (("kappa1", math.inf),)),
+        ("lppq", (("kappa2", -math.inf),)),
+        (NONPRIVATE, (("c1_prime", -1e-300),)),
+        ("cppq", (("c1", 10**400),)),  # float() overflows
+    ])
+    def test_constants_must_be_finite_and_nonnegative(self, kind, overrides):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            PolicySpec(kind=kind, eps=1.0, overrides=overrides)
+
+    def test_zero_and_large_finite_constants_accepted(self):
+        # c2 = 0 is what the presets use at eps = inf
+        cfg = PolicySpec(kind="cppq", eps=1.0, overrides=(("c2", 0), ("c1", 10**300))) \
+            .build_config(100, 2)
+        assert cfg.c2 == 0.0 and cfg.c1 == 1e300
+
     def test_zero_cube_count_still_rejected(self):
         with pytest.raises(ValueError):
             PolicySpec(kind="cppq", eps=1.0, J_request=0).build_config(100, 2)
