@@ -366,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     run = argparse.ArgumentParser(add_help=False)  # options of the experiment run path
     run.add_argument("--seed", type=int, default=None,
                      help="root seed; default $PRIVBANDIT_SEED, then the config's")
-    run.add_argument("--jobs", type=int, default=1, help="worker processes, at least 1")
+    run.add_argument("--jobs", type=int, default=1,
+                     help="processes running episodes, this one included; at least 1")
 
     p_sim = sub.add_parser("simulate", parents=[run], help="run a JSON-configured experiment grid")
     p_sim.add_argument("--config", required=True, help="JSON config file")

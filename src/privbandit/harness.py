@@ -115,31 +115,23 @@ def run_episode(policy, env: DemandEnvironment, T: int, stream: RngStream,
     """Drive one T-period episode; returns (prices, contexts, regret fields).
 
     The context and demand-noise streams are pre-drawn.  A policy with a
-    bulk engine (``play(js, demand) -> prices``, today lppq) runs the whole
-    episode in one call; any other policy is driven by the per-period
-    ``choose_price``/``update`` loop, which the engines are tested against.
+    bulk engine (``play(js, demand) -> prices``: cppq, non-private and lppq)
+    runs the whole episode in one call on the customers' cube indices; any
+    other policy is driven by the per-period ``choose_price``/``update`` loop.
     """
     policy_env = getattr(policy, "env", env)
     if policy_env.d != env.d:
         raise ValueError("policy and environment dimension mismatch")
     X = env.sample_context(stream.child("context"), size=T)
     demand = env.episode_demand(stream.child("demand"), X)
-    # quadrisection policies take precomputed cube ids
-    js = cube_index_many(policy.part, X) if hasattr(policy, "part") else None
     if hasattr(policy, "play"):
-        prices = policy.play(js, demand)
+        prices = policy.play(cube_index_many(policy.part, X), demand)
     else:
         prices = np.empty(T)
         for i in range(T):
             t = i + 1
-            x = X[i]
-            if js is None:
-                p = policy.choose_price(x, t)
-                policy.update(x, p, demand(i, p), t)
-            else:
-                j = int(js[i])
-                p = policy.choose_price(x, t, j=j)
-                policy.update(x, p, demand(i, p), t, j=j)
+            p = policy.choose_price(X[i], t)
+            policy.update(X[i], p, demand(i, p), t)
             prices[i] = p
     f_opt = env.mean_revenue(env.oracle_price(X), X)
     f_act = env.mean_revenue(prices, X)
@@ -174,20 +166,32 @@ class AggregateResult:
     stderr_pct_regret: float | None
 
 
-def _run_one_args(args):
-    return run_one(*args)
+def _run_share(tasks: list) -> list:
+    return [run_one(*task) for task in tasks]
 
 
-def run_many(tasks, jobs: int = 1) -> list:
+def run_many(tasks: list, jobs: int = 1) -> list:
     """run_one over (spec, env, T, root_seed, rep) tuples, results in task order.
 
-    With jobs > 1 the tasks run in a pool of `jobs` worker processes; every
-    task draws only from its own seeded streams, so the records are the same.
+    With jobs > 1 the tasks are dealt round-robin into ``jobs`` shares; this
+    process runs the first share while a pool of jobs - 1 workers runs the
+    others, each share one message each way.  A grid lists a cell's reps
+    together, so every share gets the same mix of cells.  Per-task messages
+    and an idle parent beside ``jobs`` workers cost about as much as the
+    short episodes themselves, and swing with the host's load.  Every task
+    draws only from its own seeded streams, so the records are the same at
+    any ``jobs``.
     """
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_one_args, tasks))
-    return [run_one(*task) for task in tasks]
+    shares = min(jobs, len(tasks))
+    if shares < 2:
+        return _run_share(tasks)
+    with ProcessPoolExecutor(max_workers=shares - 1) as pool:
+        rest = [pool.submit(_run_share, tasks[w::shares]) for w in range(1, shares)]
+        done = [_run_share(tasks[0::shares])] + [f.result() for f in rest]
+    records = [None] * len(tasks)
+    for w, share in enumerate(done):
+        records[w::shares] = share
+    return records
 
 
 def replicate(spec: PolicySpec, env: DemandEnvironment, T: int, reps: int,

@@ -119,24 +119,14 @@ class LppqPolicy(Quadrisection):
         right = gate & (right_gap / scale > threshold)
         return left, right
 
-    def play(self, js, demand) -> np.ndarray:
-        """Run a whole episode from t = 1 in bulk; returns the T posted prices.
+    def _play(self, js: np.ndarray, demand) -> np.ndarray:
+        """Whole-episode engine behind :meth:`play`.
 
-        ``js[i]`` is customer i's cube and ``demand(idx, p)`` the episode's
-        demand oracle on index and price arrays.  The horizon is walked in
-        blocks of ``BLOCK`` periods, each with one Laplace draw of shape
-        (rows, J); inside a block each cube jumps from cut to cut.  The
-        policy ends in exactly the state T ``choose_price``/``update`` calls
-        leave, bit for bit, with the noise stream at the same position.
+        The horizon is walked in blocks of ``BLOCK`` periods, each with one
+        Laplace draw of shape (rows, J); inside a block each cube jumps from
+        cut to cut.
         """
         T, J = self.config.T, self.J
-        if self._expected_t != 1:
-            raise RuntimeError(f"play starts an episode at t=1; expected t={self._expected_t}")
-        js = np.asarray(js)
-        if js.shape != (T,):
-            raise ValueError(f"need one cube index per period of T={T}, got shape {js.shape}")
-        if js.min() < 0 or js.max() >= J:
-            raise ValueError(f"cube indices must lie in [0, {J})")
         windows = [WINDOW] * J
         prices = np.empty(T)
         for b0 in range(0, T, BLOCK):
@@ -145,7 +135,6 @@ class LppqPolicy(Quadrisection):
                      if self.noise_enabled else np.zeros((b1 - b0, J)))
             for j in range(J):
                 windows[j] = self._advance(j, b0, b1, noise[:, j], js, demand, prices, windows[j])
-        self._expected_t = T + 1
         return prices
 
     def _advance(self, j: int, b0: int, b1: int, noise: np.ndarray, js: np.ndarray,

@@ -202,7 +202,8 @@ class Quadrisection:
     Each cube also carries ``S`` per-slot statistics ``_sums`` (shape
     (S, 5, J)) and their values ``_snap`` at the cube's last cut.
     Subclasses privatize the statistics, read them back through
-    :meth:`_since_cut`, and decide which cubes cut.
+    :meth:`_since_cut`, decide which cubes cut, and supply the bulk episode
+    engine ``_play(js, demand) -> prices`` behind :meth:`play`.
     """
 
     S = 1  # statistics per slot
@@ -251,6 +252,28 @@ class Quadrisection:
             j = cube_index(self.part, x)
         k = phase_index(t)
         return self._lo[j] + (k - 1) / 4.0 * (self._hi[j] - self._lo[j])
+
+    def play(self, js, demand) -> np.ndarray:
+        """Run a whole episode from t = 1 in bulk; returns the T posted prices.
+
+        ``js[i]`` is customer i's cube and ``demand(idx, p)`` the episode's
+        demand oracle on index and price arrays.  The subclass's ``_play``
+        engine leaves the policy in exactly the state T
+        ``choose_price``/``update`` calls leave, bit for bit, with every
+        noise stream at the same position; afterwards the clock expects
+        t = T + 1, as after the loop.
+        """
+        T = self.config.T
+        if self._expected_t != 1:
+            raise RuntimeError(f"play starts an episode at t=1; expected t={self._expected_t}")
+        js = np.asarray(js)
+        if js.shape != (T,):
+            raise ValueError(f"need one cube index per period of T={T}, got shape {js.shape}")
+        if js.min() < 0 or js.max() >= self.J:
+            raise ValueError(f"cube indices must lie in [0, {self.J})")
+        prices = self._play(js, demand)
+        self._expected_t = T + 1
+        return prices
 
     def _cut(self, left: np.ndarray, right: np.ndarray, t: int) -> list:
         """Cut the cubes flagged left or right at period t; left wins if both.

@@ -90,3 +90,32 @@ class TreeAggregator:
         if self.width == 1:
             return float(released[0])
         return released
+
+    def noise_offsets(self, cnt: int) -> np.ndarray:
+        """Noise offsets of the current release and the next ``cnt``, shape (cnt+1, width).
+
+        Row 0 is the offset now and row i the one update n+i adds to the
+        running sum.  Afterwards ``n`` and ``noise`` are as ``cnt`` updates
+        leave them; ``total`` is the caller's.  The rows come from one
+        (cnt, width) draw, the same bits as ``cnt`` draws of one row, and
+        each offset is one reduction over all L+1 levels, as in ``update``:
+        for width 1 numpy sums eight or more levels pairwise, so adding them
+        one at a time would not give the same bits.
+        """
+        if self.n + cnt > self.capacity:
+            raise CapacityError(f"aggregator capacity {self.capacity} exhausted")
+        n0 = self.n
+        self.n += cnt
+        if not self.noise_enabled:
+            return np.zeros((cnt + 1, self.width))
+        L1 = self.L + 1
+        levels = np.arange(L1)
+        high = (n0 + np.arange(cnt + 1))[:, None] >> levels
+        # level l after update m holds the row drawn at update (m >> l) << l if bit l is set
+        src = high << levels
+        # table rows: the carried levels, a zero row, then the rows of updates n0+1..n0+cnt
+        table = np.concatenate([self.noise, np.zeros((1, self.width)),
+                                self._stream.laplace(self.noise_scale, size=(cnt, self.width))])
+        rows = table[np.where(high & 1, np.where(src > n0, L1 + src - n0, levels), L1)]
+        self.noise[:] = rows[-1]
+        return rows.sum(axis=1)

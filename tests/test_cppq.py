@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from privbandit import CppqConfig, CppqPolicy, LinearDemandEnv
-from privbandit.partition import LEFT_CUT, RIGHT_CUT
+from engine_twins import PlayPreamble, assert_same_state, play_twins
+from privbandit import CppqConfig, CppqPolicy, LinearDemandEnv, make_env
+from privbandit.cppq import BLOCK
+from privbandit.partition import LEFT_CUT, PRESETS, RIGHT_CUT, SENSITIVITY_CORRECT, UNIT_SCALE
 from privbandit.prng import derive_stream
 
 
@@ -214,3 +218,56 @@ class TestStructure:
     def test_rejects_unknown_sensitivity_mode(self):
         with pytest.raises(ValueError):
             make_policy(sensitivity_mode="bogus")
+
+
+ZERO = (("c1", 0.0), ("c1_prime", 0.0), ("c2", 0.0))  # cut on any rise or fall
+
+
+ENVS = {"linear": ENV, "linear-noiseless": LinearDemandEnv(noise_half_width=0.0),
+        "adversarial-m2": make_env("adversarial", m=2, nu=(1, 0, 0, 1)),
+        "adversarial-m3": make_env("adversarial", m=3, nu=(0, 1, 1, 0, 1, 0, 0, 1, 1))}
+KINDS = [("cppq", 10.0), ("cppq", 1.0), ("cppq", 0.1), ("cppq", 0.01), ("nonprivate", math.inf)]
+
+
+class TestPlay(PlayPreamble):
+    """play, the bulk episode engine, against the per-period reference loop."""
+
+    KIND = "cppq"
+
+    @settings(max_examples=60, deadline=None)
+    @given(env=st.sampled_from(sorted(ENVS)),
+           T=st.one_of(st.integers(1, 40), st.integers(1, 2600)),
+           kind=st.sampled_from(KINDS),
+           preset=st.sampled_from(PRESETS),
+           mode=st.sampled_from([UNIT_SCALE, SENSITIVITY_CORRECT]),
+           J=st.sampled_from([None, 1, 4, 9, 16, 49]),
+           overrides=st.sampled_from([(), ZERO]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_engine_equals_loop(self, env, T, kind, preset, mode, J, overrides, seed):
+        loop, engine = play_twins(ENVS[env], T, *kind, seed, preset, mode, J, overrides)
+        assert_same_state(loop, engine)
+
+    @pytest.mark.parametrize("kind, eps", KINDS)
+    def test_one_cube_with_eight_tree_levels(self, kind, eps):
+        # J = 1 and L+1 >= 8: numpy sums a width-1 aggregator's levels pairwise
+        loop, engine = play_twins(ENV, 5 * 128 + 3, kind, eps, seed=11, J=1)
+        assert loop[0]._reward_agg[0].L + 1 >= 8
+        assert_same_state(loop, engine)
+
+    @pytest.mark.parametrize("env, kind, eps, J", [
+        ("linear", "cppq", 1.0, 49), ("linear", "cppq", 0.1, 4),
+        ("linear", "nonprivate", math.inf, 16),
+        ("adversarial-m2", "cppq", 10.0, 25), ("adversarial-m3", "nonprivate", math.inf, 9)])
+    def test_engine_equals_loop_through_many_cuts(self, env, kind, eps, J):
+        # several blocks, and cuts in most cubes: each one goes through _cut
+        # and replays the rest of its block, where it may cut again
+        T = 4 * BLOCK + 37
+        loop, engine = play_twins(ENVS[env], T, kind, eps, seed=5, J=J, overrides=ZERO)
+        assert (loop[0].shrink_count > 0).mean() > 0.5
+        assert loop[0].shrink_count.max() >= 3
+        assert_same_state(loop, engine)
+
+    def test_nonprivate_full_horizon(self):
+        loop, engine = play_twins(ENV, 62500, "nonprivate", math.inf, seed=7)
+        assert loop[0].shrink_count.sum() > 500
+        assert_same_state(loop, engine)

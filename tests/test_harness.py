@@ -7,7 +7,7 @@ from privbandit import (AggregateResult, LinearDemandEnv, PolicySpec, RunRecord,
                         fit_loglog_slope, make_env, percentage_regret, replicate,
                         run_episode, run_one)
 from privbandit.cppq import CppqConfig
-from privbandit.harness import NONPRIVATE, aggregate
+from privbandit.harness import NONPRIVATE, aggregate, run_many
 from privbandit.lppq import LppqConfig
 from privbandit.prng import derive_stream
 
@@ -208,6 +208,33 @@ class TestReplicate:
             np.mean([percentage_regret(r) for r in recs]))
         again = aggregate(recs)
         assert again.mean_pct_regret == agg.mean_pct_regret
+
+
+class TestRunMany:
+    @staticmethod
+    def tasks(n):
+        env = make_env("adversarial", m=2, nu=[1, 0, 1, 1])
+        specs = [PolicySpec(kind=NONPRIVATE), PolicySpec(kind="cppq", eps=1.0),
+                 PolicySpec(kind="lppq", eps=1.0)]
+        return [(specs[i % 3], env, 40 + 20 * (i % 2), 5, i) for i in range(n)]
+
+    @staticmethod
+    def key(rec):
+        return (rec.policy, rec.T, rec.rep, rec.cumulative_regret, tuple(rec.shrink_count))
+
+    @pytest.mark.parametrize("jobs", [2, 3, 9])
+    def test_records_in_task_order_at_any_jobs(self, jobs):
+        tasks = self.tasks(7)  # uneven shares at 2 and 3 jobs, more jobs than tasks at 9
+        serial = [self.key(r) for r in run_many(tasks, 1)]
+        assert [self.key(r) for r in run_many(tasks, jobs)] == serial
+        assert [rep for _, _, rep, _, _ in serial] == list(range(7))
+
+    @pytest.mark.parametrize("bad", [0, 1])  # share 0 runs here, share 1 in a worker
+    def test_a_failing_task_raises(self, bad):
+        tasks = self.tasks(4)
+        tasks[bad] = tasks[bad][:2] + (0,) + tasks[bad][3:]  # T = 0
+        with pytest.raises(ValueError):
+            run_many(tasks, 2)
 
 
 class TestSlopeFit:

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privbandit import LinearDemandEnv, LppqConfig, LppqPolicy, PolicySpec, make_env
+from engine_twins import PlayPreamble, assert_same_state, play_twins
+from privbandit import LinearDemandEnv, LppqConfig, LppqPolicy, make_env
 from privbandit.lppq import BLOCK
-from privbandit.partition import (LEFT_CUT, PRESETS, RIGHT_CUT, SENSITIVITY_CORRECT, UNIT_SCALE,
-                                  cube_index_many)
+from privbandit.partition import LEFT_CUT, PRESETS, RIGHT_CUT, SENSITIVITY_CORRECT, UNIT_SCALE
 from privbandit.prng import derive_stream
 
 
@@ -198,45 +198,15 @@ class TestNoiseConcentration:
         assert frac >= 0.95
 
 
-def play_twins(env, T, eps, seed, preset="experiment", mode=UNIT_SCALE, J=None):
-    """The same episode driven per period (choose_price/update) and by play."""
-    spec = PolicySpec(kind="lppq", preset=preset, eps=eps, J_request=J, sensitivity_mode=mode)
-    twins = []
-    for engine in (False, True):
-        stream = derive_stream(seed, "rep/0")
-        pol = spec.build_policy(T, env, stream.child("policy"))
-        X = env.sample_context(stream.child("context"), size=T)
-        demand = env.episode_demand(stream.child("demand"), X)
-        js = cube_index_many(pol.part, X)
-        if engine:
-            prices = pol.play(js, demand)
-        else:
-            prices = np.empty(T)
-            for i in range(T):
-                j = int(js[i])
-                prices[i] = pol.choose_price(X[i], i + 1, j=j)
-                pol.update(X[i], prices[i], demand(i, prices[i]), i + 1, j=j)
-        twins.append((pol, prices))
-    return twins
-
-
-def assert_same_state(loop, engine):
-    (a, pa), (b, pb) = loop, engine
-    np.testing.assert_array_equal(pa, pb)
-    for name in ("_lo", "_hi", "_epoch", "_pointer", "shrink_count", "_sums", "_snap"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
-    assert a._expected_t == b._expected_t
-    # both consumed the same number of noise draws
-    assert a._stream.unit() == b._stream.unit()
-
-
 ENVS = {"linear": ENV,
         "adversarial-m2": make_env("adversarial", m=2, nu=(1, 0, 0, 1)),
         "adversarial-m3": make_env("adversarial", m=3, nu=(0, 1, 1, 0, 1, 0, 0, 1, 1))}
 
 
-class TestPlay:
+class TestPlay(PlayPreamble):
     """play, the bulk episode engine, against the per-period reference loop."""
+
+    KIND = "lppq"
 
     @settings(max_examples=60, deadline=None)
     @given(env=st.sampled_from(sorted(ENVS)),
@@ -247,7 +217,7 @@ class TestPlay:
            J=st.sampled_from([None, 1, 4, 9, 16, 49]),
            seed=st.integers(0, 2**32 - 1))
     def test_engine_equals_loop(self, env, T, eps, preset, mode, J, seed):
-        loop, engine = play_twins(ENVS[env], T, eps, seed, preset, mode, J)
+        loop, engine = play_twins(ENVS[env], T, "lppq", eps, seed, preset, mode, J)
         assert_same_state(loop, engine)
 
     @pytest.mark.parametrize("env, eps, J", [
@@ -256,7 +226,7 @@ class TestPlay:
     def test_engine_equals_loop_through_many_cuts(self, env, eps, J):
         # several blocks, and cuts in most cubes: each one goes through _cut
         T = 3 * BLOCK + 77
-        loop, engine = play_twins(ENVS[env], T, eps, seed=5, J=J)
+        loop, engine = play_twins(ENVS[env], T, "lppq", eps, seed=5, J=J)
         assert (loop[0].shrink_count > 0).mean() > 0.5
         assert_same_state(loop, engine)
 
@@ -268,30 +238,3 @@ class TestPlay:
         pol._stream.laplace = lambda scale, size: sizes.append(size) or draw(scale, size=size)
         pol.play(np.zeros(T, dtype=np.int64), lambda i, p: 0.5 + 0.0 * p)
         assert sizes == [(BLOCK, 4), (BLOCK, 4), (1, 4)]
-
-    def test_play_needs_a_fresh_policy(self):
-        pol = make_policy(T=10, eps=1.0, J=4)
-        pol.update((0.1, 0.1), 1.0, 0.5, 1)
-        with pytest.raises(RuntimeError, match="expected t=2"):
-            pol.play(np.zeros(10, dtype=np.int64), lambda i, p: 0.5 + 0.0 * p)
-
-    @pytest.mark.parametrize("n", [0, 9, 11])
-    def test_play_needs_one_cube_per_period(self, n):
-        pol = make_policy(T=10, eps=1.0, J=4)
-        with pytest.raises(ValueError, match="T=10"):
-            pol.play(np.zeros(n, dtype=np.int64), lambda i, p: 0.5 + 0.0 * p)
-        assert pol._expected_t == 1
-
-    def test_play_rejects_cube_indices_out_of_range(self):
-        pol = make_policy(T=10, eps=1.0, J=4)
-        with pytest.raises(ValueError, match="cube indices"):
-            pol.play(np.full(10, 4), lambda i, p: 0.5 + 0.0 * p)
-
-    def test_clock_after_play_matches_loop(self):
-        (loop, _), (engine, _) = play_twins(ENV, 50, 1.0, seed=2, J=4)
-        assert engine._expected_t == loop._expected_t == 51
-        for pol in (loop, engine):
-            with pytest.raises(RuntimeError, match="expected t=51"):
-                pol.update((0.1, 0.1), 1.0, 0.5, 1)
-            with pytest.raises(RuntimeError, match="expected t=51"):
-                pol.play(np.zeros(50, dtype=np.int64), lambda i, p: 0.5 + 0.0 * p)

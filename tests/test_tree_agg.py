@@ -174,3 +174,53 @@ class TestBudgetStructure:
             lmin = (n & -n).bit_length() - 1
             touches[n - 2**lmin + 1: n + 1] += 1
         assert touches[1:].max() <= L + 1
+
+
+class TestNoiseOffsets:
+    """noise_offsets, the tree noise of a whole block, against update's releases."""
+
+    @pytest.mark.parametrize("capacity", [100, 1000])  # L+1 = 7 and 10 levels
+    @pytest.mark.parametrize("width", [1, 2, 49])
+    @pytest.mark.parametrize("n0", [0, 5, 64])
+    def test_offsets_are_releases_minus_total(self, capacity, width, n0):
+        cnt = capacity - n0 - 3
+        us = derive_stream(1, "signal").uniform(-1, 1, size=(n0 + cnt, width))
+        loop = TreeAggregator(0.7, capacity, derive_stream(2, "agg"), width=width)
+        bulk = TreeAggregator(0.7, capacity, derive_stream(2, "agg"), width=width)
+        for u in us[:n0]:
+            loop.update(u)
+            bulk.update(u)
+        off = bulk.noise_offsets(cnt)
+        assert off.shape == (cnt + 1, width)
+        np.testing.assert_array_equal(loop.total + off[0],
+                                      loop.total + loop.noise.sum(axis=0))
+        for i, u in enumerate(us[n0:], start=1):
+            released = np.atleast_1d(loop.update(u))
+            # bit for bit: the release is the exact running sum plus the offset
+            np.testing.assert_array_equal(loop.total + off[i], released)
+        assert bulk.n == loop.n == n0 + cnt
+        np.testing.assert_array_equal(bulk.noise, loop.noise)
+        assert bulk._stream.unit() == loop._stream.unit()
+
+    def test_zero_signal_offsets_equal_releases(self):
+        # one level count >= 8 at width 1, where numpy sums the levels pairwise
+        loop = TreeAggregator(1.0, 640, derive_stream(3, "agg"))
+        bulk = TreeAggregator(1.0, 640, derive_stream(3, "agg"))
+        off = bulk.noise_offsets(640)
+        np.testing.assert_array_equal(off[1:, 0], [loop.update(0.0) for _ in range(640)])
+
+    def test_noise_off_offsets_are_zero(self):
+        agg = noiseless(50, width=3)
+        agg.update(np.ones(3))
+        np.testing.assert_array_equal(agg.noise_offsets(7), np.zeros((8, 3)))
+        assert agg.n == 8
+
+    def test_past_capacity_raises(self):
+        agg = TreeAggregator(1.0, 20, derive_stream(4, "agg"), width=2)
+        agg.noise_offsets(15)
+        with pytest.raises(CapacityError):
+            agg.noise_offsets(6)
+        assert agg.n == 15
+        agg.noise_offsets(5)
+        with pytest.raises(CapacityError):
+            agg.update(np.zeros(2))
