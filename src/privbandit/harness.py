@@ -114,10 +114,11 @@ def run_episode(policy, env: DemandEnvironment, T: int, stream: RngStream,
                 keep_path: bool = False) -> tuple:
     """Drive one T-period episode; returns (prices, contexts, regret fields).
 
-    The context and demand-noise streams are pre-drawn.  A policy with a
-    bulk engine (``play(js, demand) -> prices``: cppq, non-private and lppq)
-    runs the whole episode in one call on the customers' cube indices; any
-    other policy is driven by the per-period ``choose_price``/``update`` loop.
+    The context and demand-noise streams are pre-drawn.  Every library
+    policy runs the whole episode in one call of the block engine
+    ``Quadrisection.play(js, demand) -> prices`` on the customers' cube
+    indices; any other policy is driven by the per-period
+    ``choose_price``/``update`` loop.
     """
     policy_env = getattr(policy, "env", env)
     if policy_env.d != env.d:

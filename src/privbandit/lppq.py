@@ -14,13 +14,12 @@ evaluated at unit eps: the width term covers both privacy and sampling
 noise, and letting it vanish entirely would allow cuts on pure demand
 noise.
 
-:meth:`LppqPolicy.play` runs a whole episode in bulk.  Between two cuts a
-cube's five prices are fixed, so each cube advances from cut to cut on
-blocks of pre-drawn Laplace rows instead of T per-period calls.  It computes
-the same z vectors, with the same noise draws, and folds them into the same
-sums, so the local-DP statement is unchanged; the per-period
-``choose_price``/``update`` path stays the online API and the reference the
-engine is tested against.
+Episodes run through the block engine :meth:`Quadrisection.play`; this
+policy supplies each block's noise, one (rows, J) Laplace draw, and its cut
+rule.  The engine computes the same z vectors, with the same noise draws,
+and folds them into the same sums, so the local-DP statement is unchanged;
+the per-period ``choose_price``/``update`` path stays the online API and the
+reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -33,9 +32,6 @@ import numpy as np
 from .partition import (UNIT_SCALE, HorizonConfig, Quadrisection, central_J, cube_index, gaps,
                         phase_index)
 from .prng import RngStream
-
-BLOCK = 512  # periods per Laplace draw in play: (BLOCK, J) arrays at most, never (T, J)
-WINDOW = 128  # play's first look-ahead after a cut; it doubles while none fires
 
 
 @dataclass(frozen=True)
@@ -64,6 +60,8 @@ class LppqConfig(HorizonConfig):
 
 class LppqPolicy(Quadrisection):
     """Single-owner mutable policy state; one instance per replication."""
+
+    BLOCK = 200  # periods per block of play, a multiple of 5: (BLOCK, J) Laplace draws
 
     def __init__(self, config: LppqConfig, env, stream: RngStream,
                  sensitivity_mode: str = UNIT_SCALE):
@@ -99,18 +97,18 @@ class LppqPolicy(Quadrisection):
         return self.maybe_shrink(t)
 
     def maybe_shrink(self, t: int) -> list:
-        left, right = self._cut_flags(self._since_cut()[0], t - self._pointer)
+        left, right = self._cut_flags(self._since_cut(), t - self._pointer)
         return self._cut(left, right, t)
 
-    def _cut_flags(self, s: np.ndarray, n: np.ndarray) -> tuple:
-        """Left and right cut flags from since-cut per-slot sums s (5, ...) after n periods.
+    def _cut_flags(self, since: np.ndarray, n: np.ndarray) -> tuple:
+        """Left and right cut flags from since-cut sums (1, 5, ...) after n >= 1 periods.
 
         The one copy of the cut rule: :meth:`maybe_shrink` applies it across
-        cubes, :meth:`play` across a window of periods of one cube.
+        cubes, :meth:`play` across the periods of a block and its cubes.
         """
         cfg = self.config
         hd = self.part.h ** self.part.d
-        left_gap, right_gap = gaps(s)
+        left_gap, right_gap = gaps(since[0])
         sqrt_n = np.sqrt(n)
         threshold = 3.0 * cfg.kappa1 / (self._eps_eff * hd * sqrt_n)
         scale = 5.0 * hd * n
@@ -119,59 +117,12 @@ class LppqPolicy(Quadrisection):
         right = gate & (right_gap / scale > threshold)
         return left, right
 
-    def _play(self, js: np.ndarray, demand) -> np.ndarray:
-        """Whole-episode engine behind :meth:`play`.
+    def _block_inputs(self, rows: int) -> tuple:
+        """The running sums, each row's Laplace draws, and no offsets.
 
-        The horizon is walked in blocks of ``BLOCK`` periods, each with one
-        Laplace draw of shape (rows, J); inside a block each cube jumps from
-        cut to cut.
+        The block's noise is one (rows, J) draw, the same bits as ``rows``
+        draws of one row.
         """
-        T, J = self.config.T, self.J
-        windows = [WINDOW] * J
-        prices = np.empty(T)
-        for b0 in range(0, T, BLOCK):
-            b1 = min(b0 + BLOCK, T)
-            noise = (self._stream.laplace(self.noise_scale, size=(b1 - b0, J))
-                     if self.noise_enabled else np.zeros((b1 - b0, J)))
-            for j in range(J):
-                windows[j] = self._advance(j, b0, b1, noise[:, j], js, demand, prices, windows[j])
-        return prices
-
-    def _advance(self, j: int, b0: int, b1: int, noise: np.ndarray, js: np.ndarray,
-                 demand, prices: np.ndarray, window: int) -> int:
-        """Play cube j over periods b0+1..b1 given its noise column; returns the next window.
-
-        Each step looks ``window`` periods ahead at the cube's fixed prices:
-        a sequential cumsum of the z entries, seeded with the carried sums,
-        repeats the loop's additions, and the cut rule is evaluated at every
-        period.  The first period that fires is cut through ``_cut`` and the
-        look-ahead restarts after it; a window without a cut doubles.
-        """
-        sums, snap = self._sums[0, :, j], self._snap[0, :, j]
-        s = b0
-        while s < b1:
-            e = min(s + window, b1)
-            idx = s + (js[s:e] == j).nonzero()[0]
-            slot = idx % 5
-            lo, hi = self._lo[j], self._hi[j]
-            p = lo + slot / 4.0 * (hi - lo)
-            prices[idx] = p
-            # row 0 carries the sums; row i - s + 1 holds customer i's z entry in its phase slot
-            periods = np.arange(s, e)
-            z = np.zeros((e - s + 1, 5))
-            z[0] = sums
-            z[periods - (s - 1), periods % 5] = noise[s - b0:e - b0]
-            z[idx - (s - 1), slot] += p * demand(idx, p)
-            run = np.cumsum(z, axis=0)[1:]
-            left, right = self._cut_flags((run - snap).T, periods + 1 - self._pointer[j])
-            fired = (left | right).nonzero()[0]
-            if not fired.size:
-                sums[:] = run[-1]
-                s, window = e, min(2 * window, BLOCK)
-                continue
-            r = fired[0]
-            sums[:] = run[r]
-            cube = np.arange(self.J) == j
-            self._cut(cube & left[r], cube & right[r], s + r + 1)
-            s, window = s + r + 1, WINDOW
-        return window
+        noise = (self._stream.laplace(self.noise_scale, size=(rows, self.J))
+                 if self.noise_enabled else np.zeros((rows, self.J)))
+        return self._sums, noise[:, None], None

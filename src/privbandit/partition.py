@@ -7,9 +7,10 @@ interval.  A "cut" keeps either the upper three quarters of the interval
 interval width contracts by a factor 3/4 per epoch.
 
 :class:`Quadrisection` holds the search state both pricing policies share:
-per-cube intervals, epochs and pointers, the price walk, and the cut rule.
-The central and local policies differ only in the privatized per-slot
-statistics they feed it.
+per-cube intervals, epochs and pointers, the price walk, the cut, and the
+block engine :meth:`Quadrisection.play` that runs a whole episode.  The
+central and local policies differ only in the privatized per-slot
+statistics they feed it and in their cut rule's thresholds.
 """
 
 from __future__ import annotations
@@ -191,9 +192,8 @@ def gaps(s: np.ndarray) -> tuple:
     The left gap is positive where s increases over slots 1..3, the right
     gap where it decreases over slots 3..5.
     """
-    left = np.minimum(s[1] - s[0], s[2] - s[1])
-    right = np.minimum(s[2] - s[3], s[3] - s[4])
-    return left, right
+    s0, s1, s2, s3, s4 = s
+    return np.minimum(s1 - s0, s2 - s1), np.minimum(s2 - s3, s3 - s4)
 
 
 class Quadrisection:
@@ -202,11 +202,12 @@ class Quadrisection:
     Each cube also carries ``S`` per-slot statistics ``_sums`` (shape
     (S, 5, J)) and their values ``_snap`` at the cube's last cut.
     Subclasses privatize the statistics, read them back through
-    :meth:`_since_cut`, decide which cubes cut, and supply the bulk episode
-    engine ``_play(js, demand) -> prices`` behind :meth:`play`.
+    :meth:`_since_cut` and decide which cubes cut with ``_cut_flags(since,
+    n)``.  For the block engine :meth:`play` they also set ``BLOCK`` and
+    supply ``_block_inputs(rows)``, and may extend :meth:`_post`.
     """
 
-    S = 1  # statistics per slot
+    S = 1  # statistics per slot: the revenue p*y, then any counts
 
     def __init__(self, config: HorizonConfig, env, sensitivity_mode: str = UNIT_SCALE):
         if sensitivity_mode not in (UNIT_SCALE, SENSITIVITY_CORRECT):
@@ -257,11 +258,12 @@ class Quadrisection:
         """Run a whole episode from t = 1 in bulk; returns the T posted prices.
 
         ``js[i]`` is customer i's cube and ``demand(idx, p)`` the episode's
-        demand oracle on index and price arrays.  The subclass's ``_play``
-        engine leaves the policy in exactly the state T
-        ``choose_price``/``update`` calls leave, bit for bit, with every
-        noise stream at the same position; afterwards the clock expects
-        t = T + 1, as after the loop.
+        demand oracle on index and price arrays.  Leaves the policy in
+        exactly the state T ``choose_price``/``update`` calls leave, bit for
+        bit, with every noise stream at the same position; afterwards the
+        clock expects t = T + 1, as after the loop.  The horizon is walked
+        in blocks of ``BLOCK`` periods, a multiple of 5, so row r of a block
+        has slot r % 5.
         """
         T = self.config.T
         if self._expected_t != 1:
@@ -271,9 +273,97 @@ class Quadrisection:
             raise ValueError(f"need one cube index per period of T={T}, got shape {js.shape}")
         if js.min() < 0 or js.max() >= self.J:
             raise ValueError(f"cube indices must lie in [0, {self.J})")
-        prices = self._play(js, demand)
+        prices = np.empty(T)
+        for b0 in range(0, T, self.BLOCK):
+            self._play_block(b0, min(self.BLOCK, T - b0), js, demand, prices)
         self._expected_t = T + 1
         return prices
+
+    def _play_block(self, b0: int, rows: int, js: np.ndarray, demand, prices: np.ndarray):
+        """Play periods b0+1..b0+rows.
+
+        ``_block_inputs(rows)`` gives the policy's exact running totals
+        (S, 5, J), which the block advances in place, the data-free
+        increments (rows, S, J) that each row adds to its own slot, and the
+        noise offsets a release adds to the totals after each row (rows, S,
+        5, J), or None.  Every visit is posted at the block-start prices
+        with one demand call, one in-place cumsum over the (rows+1, S, 5, J)
+        increments, whose row 0 holds the carried totals, repeats the loop's
+        additions, and the cut rule is evaluated at every row and cube.
+        Only the cubes that fired are replayed.
+        """
+        totals, inc, off = self._block_inputs(rows)
+        r = np.arange(rows)
+        tot = np.zeros((rows + 1,) + totals.shape)
+        tot[0] = totals
+        tot[r + 1, :, r % 5] = inc
+        t = (b0 + 1 + r)[:, None]  # the period of each row
+
+        def released(at, cubes):
+            """Per-slot statistics after row(s) ``at`` of the cubes ``cubes`` selects."""
+            s = tot[1:][at, ..., cubes]
+            return s if off is None else s + off[at, ..., cubes]
+
+        def rule(a, cubes):
+            """Cut flags at rows a.. of the cubes ``cubes`` (a slice) selects, (rows - a, cubes).
+
+            Every row lies after the cubes' last cut, so n >= 1 periods.
+            """
+            since = released(slice(a, None), cubes) - self._snap[..., cubes]
+            return self._cut_flags(since.transpose(1, 2, 0, 3), t[a:] - self._pointer[cubes])
+
+        def replay(j, at, left, right):
+            """Cut cube j at row ``at``, then play its rest of the block.
+
+            A cut moves ``_snap`` and never resets the running sums, so up
+            to the cube's next visit they do not depend on its new prices:
+            only its later visits are re-posted and its column re-summed,
+            and the rule is re-evaluated after the cut, where it may fire
+            again.
+            """
+            cube = np.arange(self.J) == j
+            while True:
+                self._sums[..., j] = released(at, j)  # _cut restarts the statistics here
+                self._cut(cube & left, cube & right, b0 + at + 1)
+                a = at + 1
+                if a == rows:
+                    return
+                visits = a + (js[b0 + a:b0 + rows] == j).nonzero()[0]
+                if visits.size:
+                    # from the next visit on: data-free increments, new posts, new sums
+                    v = r[visits[0]:]
+                    col = tot[v[0]:, ..., j]
+                    col[1:] = 0.0
+                    tot[v + 1, :, v % 5, j] = inc[v, :, j]
+                    self._post(tot, visits, b0, js, demand, prices)
+                    np.cumsum(col, axis=0, out=col)
+                lefts, rights = rule(a, slice(j, j + 1))
+                fired = (lefts[:, 0] | rights[:, 0]).nonzero()[0]
+                if not fired.size:
+                    return
+                f = fired[0]
+                at, left, right = a + f, lefts[f, 0], rights[f, 0]
+
+        self._post(tot, r, b0, js, demand, prices)
+        np.cumsum(tot, axis=0, out=tot)
+        left, right = rule(0, slice(None))
+        fired = left | right
+        for j in np.flatnonzero(fired.any(axis=0)):
+            at = int(fired[:, j].argmax())
+            replay(j, at, left[at, j], right[at, j])
+        totals[:] = tot[rows]
+        self._sums[:] = released(rows - 1, slice(None))
+
+    def _post(self, tot: np.ndarray, r: np.ndarray, b0: int, js: np.ndarray, demand,
+              prices: np.ndarray):
+        """Post the current prices at block rows r; each p*y enters statistic 0 of tot[r + 1]."""
+        i = b0 + r
+        j = js[i]
+        slot = r % 5
+        lo = self._lo[j]
+        p = lo + slot / 4.0 * (self._hi[j] - lo)
+        prices[i] = p
+        tot[r + 1, 0, slot, j] += p * demand(i, p)
 
     def _cut(self, left: np.ndarray, right: np.ndarray, t: int) -> list:
         """Cut the cubes flagged left or right at period t; left wins if both.
@@ -285,13 +375,14 @@ class Quadrisection:
         cut = left | right
         if not cut.any():
             return []
-        w = self._hi - self._lo
-        self._lo = np.where(left, self._lo + 0.25 * w, self._lo)
-        self._hi = np.where(right, self._hi - 0.25 * w, self._hi)
-        self._epoch[cut] += 1
-        self._pointer[cut] = t
-        self.shrink_count[cut] += 1
-        self._snap[..., cut] = self._sums[..., cut]
+        # masked in place: the same bits as np.where, without new arrays
+        quarter = 0.25 * (self._hi - self._lo)
+        np.add(self._lo, quarter, out=self._lo, where=left)
+        np.subtract(self._hi, quarter, out=self._hi, where=right)
+        np.add(self._epoch, 1, out=self._epoch, where=cut)
+        np.copyto(self._pointer, t, where=cut)
+        np.add(self.shrink_count, 1, out=self.shrink_count, where=cut)
+        np.copyto(self._snap, self._sums, where=cut)
         return [ShrinkEvent(t=t, cube=int(j), direction=LEFT_CUT if left[j] else RIGHT_CUT,
                             epoch=int(self._epoch[j]))
-                for j in np.flatnonzero(cut)]
+                for j in cut.nonzero()[0]]

@@ -93,12 +93,3 @@ def seed_from_env(default: int | None = None) -> int | None:
         return int(raw, 10)
     except ValueError as exc:
         raise ValueError(f"{ENV_SEED_VAR} must be a decimal integer, got {raw!r}") from exc
-
-
-def laplace_log_density_ratio(v, x: float, x_prime: float, scale: float) -> float:
-    """max_v log [ p(v - x) / p(v - x') ] for Laplace(scale) noise, at point v.
-
-    Used by the privacy property tests: the ratio is bounded by
-    exp(|x - x'| / scale) for every v.
-    """
-    return (abs(v - x_prime) - abs(v - x)) / scale

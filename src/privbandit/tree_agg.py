@@ -91,31 +91,46 @@ class TreeAggregator:
             return float(released[0])
         return released
 
-    def noise_offsets(self, cnt: int) -> np.ndarray:
-        """Noise offsets of the current release and the next ``cnt``, shape (cnt+1, width).
 
-        Row 0 is the offset now and row i the one update n+i adds to the
-        running sum.  Afterwards ``n`` and ``noise`` are as ``cnt`` updates
-        leave them; ``total`` is the caller's.  The rows come from one
-        (cnt, width) draw, the same bits as ``cnt`` draws of one row, and
-        each offset is one reduction over all L+1 levels, as in ``update``:
-        for width 1 numpy sums eight or more levels pairwise, so adding them
-        one at a time would not give the same bits.
-        """
-        if self.n + cnt > self.capacity:
-            raise CapacityError(f"aggregator capacity {self.capacity} exhausted")
-        n0 = self.n
-        self.n += cnt
-        if not self.noise_enabled:
-            return np.zeros((cnt + 1, self.width))
-        L1 = self.L + 1
-        levels = np.arange(L1)
-        high = (n0 + np.arange(cnt + 1))[:, None] >> levels
-        # level l after update m holds the row drawn at update (m >> l) << l if bit l is set
-        src = high << levels
-        # table rows: the carried levels, a zero row, then the rows of updates n0+1..n0+cnt
-        table = np.concatenate([self.noise, np.zeros((1, self.width)),
-                                self._stream.laplace(self.noise_scale, size=(cnt, self.width))])
-        rows = table[np.where(high & 1, np.where(src > n0, L1 + src - n0, levels), L1)]
-        self.noise[:] = rows[-1]
-        return rows.sum(axis=1)
+def noise_offsets(aggs: list, counts: list) -> np.ndarray | None:
+    """Noise offsets of the next ``counts[a]`` releases of each aggregator ``aggs[a]``.
+
+    The aggregators must share n, L, width and whether noise is on.  Row i
+    of ``result[a]`` (shape (max(counts)+1, width)) is the offset update
+    n+i adds to aggregator a's running sum, row 0 the one now; rows past
+    ``counts[a]`` are unused.  Afterwards each ``n`` and ``noise`` is as
+    ``counts[a]`` updates leave it; ``total`` is the caller's.  Each
+    aggregator's rows come from one (counts[a], width) draw of its own
+    stream, the same bits as ``counts[a]`` draws of one row, and one index
+    table and one gather serve all of them.  Each offset is one reduction
+    over all L+1 levels, as in ``update``: for width 1 numpy sums eight or
+    more levels pairwise, so adding them one at a time would not give the
+    same bits.  With noise off there are no offsets and the result is None.
+    """
+    first = aggs[0]
+    n0, L1, width = first.n, first.L + 1, first.width
+    if any((a.n, a.L, a.width, a.noise_enabled) != (n0, first.L, width, first.noise_enabled)
+           for a in aggs):
+        raise ValueError("stacked aggregators must share n, L, width and noise")
+    if any(n0 + cnt > a.capacity for a, cnt in zip(aggs, counts)):
+        raise CapacityError(f"aggregator capacity {first.capacity} exhausted")
+    for a, cnt in zip(aggs, counts):
+        a.n += cnt
+    if not first.noise_enabled:
+        return None
+    top = max(counts)
+    levels = np.arange(L1)
+    high = (n0 + np.arange(top + 1))[:, None] >> levels
+    # level l after update m holds the row drawn at update (m >> l) << l if bit l is set
+    src = high << levels
+    # table rows: the carried levels, a zero row, then the rows of updates n0+1..n0+top
+    table = np.zeros((len(aggs), L1 + 1 + top, width))
+    for a, cnt, rows in zip(aggs, counts, table):
+        rows[:L1] = a.noise
+        rows[L1 + 1:L1 + 1 + cnt] = a._stream.laplace(a.noise_scale, size=(cnt, width))
+    # all-advanced indexing keeps the result C-ordered, so each level sum runs as in update
+    gathered = table[np.arange(len(aggs))[:, None, None],
+                     np.where(high & 1, np.where(src > n0, L1 + src - n0, levels), L1)]
+    for a, cnt, rows in zip(aggs, counts, gathered):
+        a.noise[:] = rows[cnt]
+    return gathered.sum(axis=2)

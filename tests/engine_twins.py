@@ -1,7 +1,8 @@
 """Shared checks for the bulk episode engines (``play``) of cppq and lppq.
 
 ``play_twins`` runs one episode twice, per period and through ``play``;
-``assert_same_state`` compares the two policies bit for bit.
+``assert_same_state`` compares the two policies bit for bit, and
+``cut_shapes`` summarizes the cuts a replay has to handle.
 ``PlayPreamble`` holds the tests of the input and clock checks that
 ``Quadrisection.play`` makes around every engine; a ``TestPlay`` class sets
 ``KIND`` and inherits them.
@@ -18,8 +19,12 @@ ENV = LinearDemandEnv()
 
 
 def play_twins(env, T, kind, eps, seed, preset="experiment", mode=UNIT_SCALE, J=None,
-               overrides=()):
-    """The same episode driven per period (choose_price/update) and by play."""
+               overrides=(), log=None):
+    """The same episode driven per period (choose_price/update) and by play.
+
+    A ``log`` dict receives the customers' cubes ``js`` and the loop's shrink
+    ``events``.
+    """
     spec = PolicySpec(kind=kind, preset=preset, eps=eps, J_request=J, sensitivity_mode=mode,
                       overrides=overrides)
     twins = []
@@ -32,11 +37,13 @@ def play_twins(env, T, kind, eps, seed, preset="experiment", mode=UNIT_SCALE, J=
         if engine:
             prices = pol.play(js, demand)
         else:
-            prices = np.empty(T)
+            prices, events = np.empty(T), []
             for i in range(T):
                 j = int(js[i])
                 prices[i] = pol.choose_price(X[i], i + 1, j=j)
-                pol.update(X[i], prices[i], demand(i, prices[i]), i + 1, j=j)
+                events += pol.update(X[i], prices[i], demand(i, prices[i]), i + 1, j=j)
+            if log is not None:
+                log.update(js=js, events=events)
         twins.append((pol, prices))
     return twins
 
@@ -57,6 +64,28 @@ def assert_same_state(loop, engine):
                for p, g in zip((a, b), aggs)]
     # both consumed the same number of noise draws
     assert [s.unit() for s in streams[0]] == [s.unit() for s in streams[1]]
+
+
+def cut_shapes(log, block):
+    """What the loop's cuts ask of the engine's replay, from a ``play_twins`` log.
+
+    Returns the longest run of one cube's cuts inside one block with no
+    visit of that cube between them, and the number of cuts on a block's
+    last row (the horizon's last period included).
+    """
+    js, T = log["js"], len(log["js"])
+    runs, longest, last_row = {}, 0, 0
+    for e in log["events"]:
+        b, run = (e.t - 1) // block, 1
+        if e.cube in runs:
+            prev_b, prev_run, prev_t = runs[e.cube]
+            # periods prev_t+1..e.t are js[prev_t:e.t]
+            if prev_b == b and not (js[prev_t:e.t] == e.cube).any():
+                run = prev_run + 1
+        runs[e.cube] = (b, run, e.t)
+        longest = max(longest, run)
+        last_row += e.t % block == 0 or e.t == T
+    return longest, last_row
 
 
 def constant_demand(i, p):

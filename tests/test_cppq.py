@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engine_twins import PlayPreamble, assert_same_state, play_twins
-from privbandit import CppqConfig, CppqPolicy, LinearDemandEnv, make_env
-from privbandit.cppq import BLOCK
+from engine_twins import PlayPreamble, assert_same_state, cut_shapes, play_twins
+from privbandit import CppqConfig, CppqPolicy, LinearDemandEnv, LppqPolicy, make_env
 from privbandit.partition import LEFT_CUT, PRESETS, RIGHT_CUT, SENSITIVITY_CORRECT, UNIT_SCALE
 from privbandit.prng import derive_stream
 
 
 ENV = LinearDemandEnv()
+BLOCK = CppqPolicy.BLOCK
 
 
 def make_policy(T=100, eps=math.inf, c1=1e-6, c1_prime=1e-6, c2=2.0, J=1,
@@ -252,6 +252,33 @@ class TestPlay(PlayPreamble):
         # J = 1 and L+1 >= 8: numpy sums a width-1 aggregator's levels pairwise
         loop, engine = play_twins(ENV, 5 * 128 + 3, kind, eps, seed=11, J=1)
         assert loop[0]._reward_agg[0].L + 1 >= 8
+        assert_same_state(loop, engine)
+
+    @pytest.mark.parametrize("kind, eps", KINDS)
+    def test_one_cube_with_ten_tree_levels_cutting(self, kind, eps):
+        # the stacked offsets of a width-1 aggregator, summed pairwise, through
+        # cuts and a partial last block whose slots take different counts
+        T = 10 * BLOCK + 3
+        loop, engine = play_twins(ENV, T, kind, eps, seed=4, J=1, overrides=ZERO)
+        assert loop[0]._reward_agg[0].L + 1 == 10
+        assert loop[0].shrink_count[0] > 0
+        assert_same_state(loop, engine)
+
+    def test_bursts_of_cuts_and_last_row_cuts(self):
+        # tree noise alone moves a cube's statistics: it cuts again and again
+        # between two of its visits, and on a block's last row
+        T = 10 * BLOCK + 37
+        log = {}
+        loop, engine = play_twins(ENV, T, "cppq", 0.01, seed=1, J=100, overrides=ZERO, log=log)
+        longest, last_row = cut_shapes(log, BLOCK)
+        assert longest >= 3 and last_row >= 1
+        assert_same_state(loop, engine)
+
+    @pytest.mark.parametrize("kind, eps", [("cppq", 1.0), ("nonprivate", math.inf)])
+    @pytest.mark.parametrize("T", [4, BLOCK + 1, 1003])
+    def test_horizon_not_a_multiple_of_the_block(self, kind, eps, T):
+        assert T % BLOCK and T % LppqPolicy.BLOCK
+        loop, engine = play_twins(ENV, T, kind, eps, seed=9, J=9, overrides=ZERO)
         assert_same_state(loop, engine)
 
     @pytest.mark.parametrize("env, kind, eps, J", [

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from privbandit import derive_stream, laplace_from_uniform
-from privbandit.prng import laplace_log_density_ratio, seed_from_env
+from privbandit.prng import seed_from_env
+
+
+def laplace_log_density_ratio(v, x: float, x_prime: float, scale: float) -> float:
+    """log [ p(v - x) / p(v - x') ] for Laplace(scale) noise, at point v.
+
+    The ratio is bounded by exp(|x - x'| / scale) for every v.
+    """
+    return (abs(v - x_prime) - abs(v - x)) / scale
 
 
 class TestLaplaceInverseCdf:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privbandit import CapacityError, TreeAggregator
+from privbandit.tree_agg import noise_offsets
 from privbandit.prng import derive_stream
 
 
@@ -177,50 +178,81 @@ class TestBudgetStructure:
 
 
 class TestNoiseOffsets:
-    """noise_offsets, the tree noise of a whole block, against update's releases."""
+    """noise_offsets, the tree noise of a block for a stack of aggregators, against update."""
+
+    @staticmethod
+    def twins(capacity, width, n0, sensitivities=(2.0,), seed=2):
+        """Per sensitivity, an aggregator for the loop and one for the stack, both at n0."""
+        us = derive_stream(1, "signal").uniform(-1, 1, size=(n0, width))
+        pairs = []
+        for k, sens in enumerate(sensitivities):
+            pair = [TreeAggregator(0.7, capacity, derive_stream(seed, f"agg/{k}"), width=width,
+                                   sensitivity=sens) for _ in range(2)]
+            for u in us:
+                for agg in pair:
+                    agg.update(u)
+            pairs.append(pair)
+        return pairs
 
     @pytest.mark.parametrize("capacity", [100, 1000])  # L+1 = 7 and 10 levels
     @pytest.mark.parametrize("width", [1, 2, 49])
     @pytest.mark.parametrize("n0", [0, 5, 64])
     def test_offsets_are_releases_minus_total(self, capacity, width, n0):
-        cnt = capacity - n0 - 3
-        us = derive_stream(1, "signal").uniform(-1, 1, size=(n0 + cnt, width))
-        loop = TreeAggregator(0.7, capacity, derive_stream(2, "agg"), width=width)
-        bulk = TreeAggregator(0.7, capacity, derive_stream(2, "agg"), width=width)
-        for u in us[:n0]:
-            loop.update(u)
-            bulk.update(u)
-        off = bulk.noise_offsets(cnt)
-        assert off.shape == (cnt + 1, width)
-        np.testing.assert_array_equal(loop.total + off[0],
-                                      loop.total + loop.noise.sum(axis=0))
-        for i, u in enumerate(us[n0:], start=1):
-            released = np.atleast_1d(loop.update(u))
-            # bit for bit: the release is the exact running sum plus the offset
-            np.testing.assert_array_equal(loop.total + off[i], released)
-        assert bulk.n == loop.n == n0 + cnt
-        np.testing.assert_array_equal(bulk.noise, loop.noise)
-        assert bulk._stream.unit() == loop._stream.unit()
+        # three stacked aggregators with their own streams and scales; the
+        # last two take fewer updates, as the later slots of a partial block
+        top = capacity - n0 - 3
+        counts = [top, top - 1, top - 4]
+        pairs = self.twins(capacity, width, n0, sensitivities=(2.0, 2.0, 7.0))
+        off = noise_offsets([bulk for _, bulk in pairs], counts)
+        assert off.shape == (3, top + 1, width)
+        us = derive_stream(3, "signal").uniform(-1, 1, size=(top, width))
+        for (loop, bulk), cnt, rows in zip(pairs, counts, off):
+            np.testing.assert_array_equal(loop.total + rows[0],
+                                          loop.total + loop.noise.sum(axis=0))
+            for i, u in enumerate(us[:cnt], start=1):
+                released = np.atleast_1d(loop.update(u))
+                # bit for bit: the release is the exact running sum plus the offset
+                np.testing.assert_array_equal(loop.total + rows[i], released)
+            assert bulk.n == loop.n == n0 + cnt
+            np.testing.assert_array_equal(bulk.noise, loop.noise)
+            assert bulk._stream.unit() == loop._stream.unit()
 
     def test_zero_signal_offsets_equal_releases(self):
-        # one level count >= 8 at width 1, where numpy sums the levels pairwise
-        loop = TreeAggregator(1.0, 640, derive_stream(3, "agg"))
-        bulk = TreeAggregator(1.0, 640, derive_stream(3, "agg"))
-        off = bulk.noise_offsets(640)
-        np.testing.assert_array_equal(off[1:, 0], [loop.update(0.0) for _ in range(640)])
+        # ten level counts at width 1, where numpy sums the levels pairwise
+        stack = [TreeAggregator(1.0, 640, derive_stream(3, f"agg/{k}")) for k in range(2)]
+        loops = [TreeAggregator(1.0, 640, derive_stream(3, f"agg/{k}")) for k in range(2)]
+        off = noise_offsets(stack, [640, 637])
+        for loop, rows, cnt in zip(loops, off, [640, 637]):
+            np.testing.assert_array_equal(rows[1:cnt + 1, 0], [loop.update(0.0) for _ in range(cnt)])
 
     def test_noise_off_offsets_are_zero(self):
-        agg = noiseless(50, width=3)
-        agg.update(np.ones(3))
-        np.testing.assert_array_equal(agg.noise_offsets(7), np.zeros((8, 3)))
-        assert agg.n == 8
+        # exact releases need no offsets: none are built, and the clocks still advance
+        stack = [noiseless(50, width=3) for _ in range(4)]
+        for agg in stack:
+            agg.update(np.ones(3))
+        assert noise_offsets(stack, [7, 7, 6, 6]) is None
+        assert [agg.n for agg in stack] == [8, 8, 7, 7]
 
     def test_past_capacity_raises(self):
-        agg = TreeAggregator(1.0, 20, derive_stream(4, "agg"), width=2)
-        agg.noise_offsets(15)
+        stack = [TreeAggregator(1.0, 20, derive_stream(4, f"agg/{k}"), width=2) for k in range(2)]
+        noise_offsets(stack, [15, 15])
         with pytest.raises(CapacityError):
-            agg.noise_offsets(6)
-        assert agg.n == 15
-        agg.noise_offsets(5)
+            noise_offsets(stack, [5, 6])
+        # all or nothing: no aggregator advanced
+        assert [agg.n for agg in stack] == [15, 15]
+        noise_offsets(stack, [5, 5])
         with pytest.raises(CapacityError):
-            agg.update(np.zeros(2))
+            stack[1].update(np.zeros(2))
+
+    def test_stacked_aggregators_must_agree(self):
+        def agg(eps=1.0, capacity=64, width=2, updates=1):
+            out = TreeAggregator(eps, capacity, derive_stream(5, "agg"), width=width)
+            for _ in range(updates):
+                out.update(np.ones(width))
+            return out
+
+        a = agg()
+        for other in (agg(updates=0), agg(width=3), agg(capacity=640), agg(eps=math.inf)):
+            with pytest.raises(ValueError, match="must share"):
+                noise_offsets([a, other], [1, 1])
+        assert a.n == 1
