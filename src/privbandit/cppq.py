@@ -104,53 +104,44 @@ class CppqPolicy(Quadrisection):
         self._sums[1, k] = self._count_agg[k].update(v)
         u[j_t] = 0.0
         v[j_t] = 0.0
-        return self._maybe_shrink(t)
-
-    def _maybe_shrink(self, t: int) -> list:
-        left, right = self._cut_flags(self._since_cut(), None)
-        return self._cut(left, right, t)
+        return self.maybe_shrink(t)
 
     def _cut_flags(self, since: np.ndarray, n) -> tuple:
         """Left and right cut flags from since-cut revenue and count sums (2, 5, ...).
 
-        The one copy of the cut rule: :meth:`_maybe_shrink` applies it across
+        The one copy of the cut rule: :meth:`maybe_shrink` applies it across
         cubes, :meth:`play` across the periods of a block and its cubes.  The
         count gate stands in for the period count n, which goes unused.
+        Nothing here warns: the ratio never divides by a count <= 0, and
+        comparisons with its NaNs are silent.
         """
         cfg = self.config
         r_hat, mu_hat = since
         # ratio estimates; invalid slots are masked by the count gate below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.where(mu_hat > 0, r_hat / np.where(mu_hat > 0, mu_hat, 1.0), np.nan)
-        mu13 = np.min(mu_hat[0:3], axis=0)
-        mu35 = np.min(mu_hat[2:5], axis=0)
-        gate13 = (mu13 >= cfg.c2) & (mu13 > 0)
-        gate35 = (mu35 >= cfg.c2) & (mu35 > 0)
-        with np.errstate(invalid="ignore"):
-            left_gap, right_gap = gaps(q)
-            left = gate13 & (left_gap > 3.0 * cfg.c1 / np.sqrt(np.maximum(mu13, 1e-300))
-                             + 3.0 * cfg.c1_prime / np.maximum(mu13, 1e-300))
-            right = gate35 & (right_gap > 3.0 * cfg.c1 / np.sqrt(np.maximum(mu35, 1e-300))
-                              + 3.0 * cfg.c1_prime / np.maximum(mu35, 1e-300))
+        counted = mu_hat > 0
+        q = np.where(counted, r_hat / np.where(counted, mu_hat, 1.0), np.nan)
+        # the smallest count over slots 1..3 and over slots 3..5, stacked as gaps() stacks
+        mu = np.minimum(np.minimum(mu_hat[0:3:2], mu_hat[1:4:2]), mu_hat[2:5:2])
+        floor = np.maximum(mu, 1e-300)
+        width = 3.0 * cfg.c1 / np.sqrt(floor) + 3.0 * cfg.c1_prime / floor
+        left, right = (mu >= cfg.c2) & (mu > 0) & (gaps(q) > width)
         return left, right
 
-    def _post(self, tot: np.ndarray, r: np.ndarray, b0: int, js: np.ndarray, demand,
-              prices: np.ndarray):
-        """Post as :meth:`Quadrisection._post`; each visit also counts 1 in statistic 1."""
-        super()._post(tot, r, b0, js, demand, prices)
-        tot[r + 1, 1, r % 5, js[b0 + r]] = 1.0
+    def _block_inputs(self, block_js: np.ndarray) -> tuple:
+        """The aggregators' totals, each visit's count, and their noise offsets.
 
-    def _block_inputs(self, rows: int) -> tuple:
-        """The aggregators' totals, no data-free increments, and their noise offsets.
-
-        Slot k's aggregators tick on rows k, k+5, ..., so after row r their
-        release carries offset (r - k) // 5 + 1 of :func:`noise_offsets`.
+        Row r counts 1 in its cube's statistic 1; its revenue comes with the
+        post.  Slot k's aggregators tick on rows k, k+5, ..., so after row r
+        their release carries offset (r - k) // 5 + 1 of :func:`noise_offsets`.
         """
-        J = self.J
+        J, rows = self.J, len(block_js)
+        r = np.arange(rows)
+        inc = np.zeros((rows, self.S, J))
+        inc[r, 1, block_js] = 1.0
         counts = [(rows - k + 4) // 5 for k in range(5)]
         stacked = noise_offsets(self._reward_agg + self._count_agg, counts * 2)
         off = None
         if stacked is not None:
-            after = (np.arange(rows)[:, None] - np.arange(5)) // 5 + 1
+            after = (r[:, None] - np.arange(5)) // 5 + 1
             off = stacked.reshape(2, 5, -1, J)[np.arange(2)[:, None], np.arange(5), after[:, None]]
-        return self._totals, np.zeros((rows, self.S, J)), off
+        return self._totals, inc, off

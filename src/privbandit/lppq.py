@@ -69,6 +69,11 @@ class LppqPolicy(Quadrisection):
         self.noise_enabled = math.isfinite(config.eps)
         self.noise_scale = 2.0 / config.eps * self._revenue_bound if self.noise_enabled else 0.0
         self._eps_eff = config.eps if self.noise_enabled else 1.0
+        # the cut rule's constant factors, in the rule's association order
+        hd = self.part.h ** self.part.d
+        self._kappa1_3 = 3.0 * config.kappa1
+        self._eps_hd = self._eps_eff * hd
+        self._hd_5 = 5.0 * hd
         self._stream = stream.child("ldp-noise")
 
     choose_price = Quadrisection.choose_price
@@ -96,9 +101,7 @@ class LppqPolicy(Quadrisection):
         self.record(x, p, y, t, j=j)
         return self.maybe_shrink(t)
 
-    def maybe_shrink(self, t: int) -> list:
-        left, right = self._cut_flags(self._since_cut(), t - self._pointer)
-        return self._cut(left, right, t)
+    maybe_shrink = Quadrisection.maybe_shrink
 
     def _cut_flags(self, since: np.ndarray, n: np.ndarray) -> tuple:
         """Left and right cut flags from since-cut sums (1, 5, ...) after n >= 1 periods.
@@ -106,23 +109,18 @@ class LppqPolicy(Quadrisection):
         The one copy of the cut rule: :meth:`maybe_shrink` applies it across
         cubes, :meth:`play` across the periods of a block and its cubes.
         """
-        cfg = self.config
-        hd = self.part.h ** self.part.d
-        left_gap, right_gap = gaps(since[0])
-        sqrt_n = np.sqrt(n)
-        threshold = 3.0 * cfg.kappa1 / (self._eps_eff * hd * sqrt_n)
-        scale = 5.0 * hd * n
-        gate = n >= cfg.kappa2
-        left = gate & (left_gap / scale > threshold)
-        right = gate & (right_gap / scale > threshold)
+        threshold = self._kappa1_3 / (self._eps_hd * np.sqrt(n))
+        scale = self._hd_5 * n
+        left, right = (n >= self.config.kappa2) & (gaps(since[0]) / scale > threshold)
         return left, right
 
-    def _block_inputs(self, rows: int) -> tuple:
+    def _block_inputs(self, block_js: np.ndarray) -> tuple:
         """The running sums, each row's Laplace draws, and no offsets.
 
         The block's noise is one (rows, J) draw, the same bits as ``rows``
         draws of one row.
         """
+        rows = len(block_js)
         noise = (self._stream.laplace(self.noise_scale, size=(rows, self.J))
                  if self.noise_enabled else np.zeros((rows, self.J)))
         return self._sums, noise[:, None], None

@@ -48,22 +48,6 @@ class HypercubePartition:
     def h(self) -> float:
         return 1.0 / self.m
 
-    def cube_bounds(self, j: int):
-        """(lo, hi) corner vectors of cube j."""
-        digits = self.digits(j)
-        lo = digits * self.h
-        return lo, lo + self.h
-
-    def digits(self, j: int) -> np.ndarray:
-        """Base-m digit expansion of j, most significant axis first."""
-        if not 0 <= j < self.J:
-            raise ValueError(f"cube index {j} outside [0, {self.J})")
-        out = np.empty(self.d, dtype=np.int64)
-        for i in range(self.d - 1, -1, -1):
-            out[i] = j % self.m
-            j //= self.m
-        return out
-
 
 def build_partition(d: int, J_request: int) -> HypercubePartition:
     """Smallest per-axis count m with m^d >= J_request cubes."""
@@ -186,14 +170,14 @@ class ShrinkEvent:
     epoch: int  # epoch after the cut
 
 
-def gaps(s: np.ndarray) -> tuple:
-    """Left and right cut statistics of a (5, J) per-slot statistic.
+def gaps(s: np.ndarray) -> np.ndarray:
+    """Left and right cut statistics of a (5, ...) per-slot statistic, stacked (2, ...).
 
-    The left gap is positive where s increases over slots 1..3, the right
-    gap where it decreases over slots 3..5.
+    The left gap min(s1 - s0, s2 - s1) is positive where s increases over
+    slots 1..3, the right gap min(s2 - s3, s3 - s4) where it decreases over
+    slots 3..5.
     """
-    s0, s1, s2, s3, s4 = s
-    return np.minimum(s1 - s0, s2 - s1), np.minimum(s2 - s3, s3 - s4)
+    return np.minimum(s[1:3] - s[0:4:3], s[2:4] - s[1:5:3])
 
 
 class Quadrisection:
@@ -204,7 +188,7 @@ class Quadrisection:
     Subclasses privatize the statistics, read them back through
     :meth:`_since_cut` and decide which cubes cut with ``_cut_flags(since,
     n)``.  For the block engine :meth:`play` they also set ``BLOCK`` and
-    supply ``_block_inputs(rows)``, and may extend :meth:`_post`.
+    supply ``_block_inputs(block_js)``.
     """
 
     S = 1  # statistics per slot: the revenue p*y, then any counts
@@ -274,115 +258,134 @@ class Quadrisection:
         if js.min() < 0 or js.max() >= self.J:
             raise ValueError(f"cube indices must lie in [0, {self.J})")
         prices = np.empty(T)
+        r = np.arange(min(self.BLOCK, T))
+        # of each block row: its index, the totals' row after it, its slot, its group's step
+        rows_index = (r, r + 1, r % 5, r // 5 + 1)
         for b0 in range(0, T, self.BLOCK):
-            self._play_block(b0, min(self.BLOCK, T - b0), js, demand, prices)
+            self._play_block(b0, [a[:T - b0] for a in rows_index], js, demand, prices)
         self._expected_t = T + 1
         return prices
 
-    def _play_block(self, b0: int, rows: int, js: np.ndarray, demand, prices: np.ndarray):
-        """Play periods b0+1..b0+rows.
+    def _play_block(self, b0: int, rows_index: list, js: np.ndarray, demand,
+                    prices: np.ndarray):
+        """Play periods b0+1..b0+rows; ``rows_index`` holds r, r + 1, r % 5 and r // 5 + 1.
 
-        ``_block_inputs(rows)`` gives the policy's exact running totals
-        (S, 5, J), which the block advances in place, the data-free
+        ``_block_inputs(block_js)`` gives the policy's exact running totals
+        (S, 5, J), which the block advances in place, the price-free
         increments (rows, S, J) that each row adds to its own slot, and the
         noise offsets a release adds to the totals after each row (rows, S,
         5, J), or None.  Every visit is posted at the block-start prices
-        with one demand call, one in-place cumsum over the (rows+1, S, 5, J)
-        increments, whose row 0 holds the carried totals, repeats the loop's
-        additions, and the cut rule is evaluated at every row and cube.
-        Only the cubes that fired are replayed.
+        with one demand call.  Row r adds to slot r % 5 only, so one
+        in-place cumsum over the (groups+1, S, 5, J) increments of each
+        group of five rows, whose row 0 holds the carried totals, repeats
+        the loop's additions; the totals after every row are then spread
+        from it, and the cut rule is evaluated at every row and cube.  Only
+        the cubes that fired are replayed.
         """
-        totals, inc, off = self._block_inputs(rows)
-        r = np.arange(rows)
-        tot = np.zeros((rows + 1,) + totals.shape)
+        r, row_after, slot, group = rows_index
+        rows = len(r)
+        block_js = js[b0:b0 + rows]
+        totals, inc, off = self._block_inputs(block_js)
+        groups = (rows + 4) // 5
+        steps = np.zeros((groups + 1,) + totals.shape)
+        steps[0] = totals
+        steps[group, :, slot] = inc
+        steps[group, 0, slot, block_js] += self._post(
+            r, self._lo[block_js], self._hi[block_js], b0, demand, prices)
+        np.cumsum(steps, axis=0, out=steps)
+        # after row 5g + q, slots up to q hold group g's sums, later slots group g - 1's
+        tot = np.empty((5 * groups + 1,) + totals.shape)
         tot[0] = totals
-        tot[r + 1, :, r % 5] = inc
-        t = (b0 + 1 + r)[:, None]  # the period of each row
+        spread = tot[1:].reshape((groups, 5) + totals.shape)
+        spread[:] = steps[1:, None]
+        for k in range(1, 5):
+            spread[:, :k, :, k] = steps[:-1, None, :, k]
+        after = tot[1:rows + 1]  # the totals after each row
 
         def released(at, cubes):
             """Per-slot statistics after row(s) ``at`` of the cubes ``cubes`` selects."""
-            s = tot[1:][at, ..., cubes]
+            s = after[at, ..., cubes]
             return s if off is None else s + off[at, ..., cubes]
 
-        def rule(a, cubes):
-            """Cut flags at rows a.. of the cubes ``cubes`` (a slice) selects, (rows - a, cubes).
-
-            Every row lies after the cubes' last cut, so n >= 1 periods.
-            """
-            since = released(slice(a, None), cubes) - self._snap[..., cubes]
-            return self._cut_flags(since.transpose(1, 2, 0, 3), t[a:] - self._pointer[cubes])
-
-        def replay(j, at, left, right):
+        def replay(j, at, left):
             """Cut cube j at row ``at``, then play its rest of the block.
 
             A cut moves ``_snap`` and never resets the running sums, so up
             to the cube's next visit they do not depend on its new prices:
             only its later visits are re-posted and its column re-summed,
             and the rule is re-evaluated after the cut, where it may fire
-            again.
+            again.  A cut at row ``at`` sets the pointer to that row's
+            period, so row a + i lies n = i + 1 periods after it.
             """
-            cube = np.arange(self.J) == j
+            visits = (block_js == j).nonzero()[0]
             while True:
                 self._sums[..., j] = released(at, j)  # _cut restarts the statistics here
-                self._cut(cube & left, cube & right, b0 + at + 1)
+                self._cut(j, left, b0 + at + 1)
                 a = at + 1
                 if a == rows:
                     return
-                visits = a + (js[b0 + a:b0 + rows] == j).nonzero()[0]
-                if visits.size:
-                    # from the next visit on: data-free increments, new posts, new sums
-                    v = r[visits[0]:]
-                    col = tot[v[0]:, ..., j]
+                later = visits[visits.searchsorted(a):]
+                if later.size:
+                    # from the next visit v on: price-free increments, new posts, new sums
+                    v = later[0]
+                    col = tot[v:rows + 1, ..., j]
                     col[1:] = 0.0
-                    tot[v + 1, :, v % 5, j] = inc[v, :, j]
-                    self._post(tot, visits, b0, js, demand, prices)
+                    tot[row_after[v:], :, slot[v:], j] = inc[v:, :, j]
+                    tot[later + 1, 0, slot[later], j] += self._post(
+                        later, self._lo[j], self._hi[j], b0, demand, prices)
                     np.cumsum(col, axis=0, out=col)
-                lefts, rights = rule(a, slice(j, j + 1))
-                fired = (lefts[:, 0] | rights[:, 0]).nonzero()[0]
-                if not fired.size:
+                since = released(slice(a, None), j) - self._snap[..., j]
+                lefts, rights = self._cut_flags(np.ascontiguousarray(since.transpose(1, 2, 0)),
+                                                row_after[:rows - a])
+                fired = lefts | rights
+                f = fired.argmax()
+                if not fired[f]:
                     return
-                f = fired[0]
-                at, left, right = a + f, lefts[f, 0], rights[f, 0]
+                at, left = a + f, lefts[f]
 
-        self._post(tot, r, b0, js, demand, prices)
-        np.cumsum(tot, axis=0, out=tot)
-        left, right = rule(0, slice(None))
+        since = released(slice(None), slice(None)) - self._snap
+        left, right = self._cut_flags(since.transpose(1, 2, 0, 3),
+                                      (b0 + row_after)[:, None] - self._pointer)
         fired = left | right
         for j in np.flatnonzero(fired.any(axis=0)):
             at = int(fired[:, j].argmax())
-            replay(j, at, left[at, j], right[at, j])
+            replay(j, at, left[at, j])
         totals[:] = tot[rows]
         self._sums[:] = released(rows - 1, slice(None))
 
-    def _post(self, tot: np.ndarray, r: np.ndarray, b0: int, js: np.ndarray, demand,
-              prices: np.ndarray):
-        """Post the current prices at block rows r; each p*y enters statistic 0 of tot[r + 1]."""
+    def _post(self, r: np.ndarray, lo, hi, b0: int, demand, prices: np.ndarray) -> np.ndarray:
+        """Post at block rows r from the intervals [lo, hi]; returns each p*y.
+
+        ``lo`` and ``hi`` are per-row arrays, or one cube's scalars.
+        """
         i = b0 + r
-        j = js[i]
-        slot = r % 5
-        lo = self._lo[j]
-        p = lo + slot / 4.0 * (self._hi[j] - lo)
+        p = lo + r % 5 / 4.0 * (hi - lo)
         prices[i] = p
-        tot[r + 1, 0, slot, j] += p * demand(i, p)
+        return p * demand(i, p)
 
-    def _cut(self, left: np.ndarray, right: np.ndarray, t: int) -> list:
-        """Cut the cubes flagged left or right at period t; left wins if both.
+    def maybe_shrink(self, t: int) -> list:
+        """Cut every cube whose rule fires at period t, left winning where both sides do.
 
-        The cut cubes' statistics restart from their current values.
         Returns the shrink events.
         """
-        right = right & ~left
-        cut = left | right
-        if not cut.any():
-            return []
-        # masked in place: the same bits as np.where, without new arrays
-        quarter = 0.25 * (self._hi - self._lo)
-        np.add(self._lo, quarter, out=self._lo, where=left)
-        np.subtract(self._hi, quarter, out=self._hi, where=right)
-        np.add(self._epoch, 1, out=self._epoch, where=cut)
-        np.copyto(self._pointer, t, where=cut)
-        np.add(self.shrink_count, 1, out=self.shrink_count, where=cut)
-        np.copyto(self._snap, self._sums, where=cut)
-        return [ShrinkEvent(t=t, cube=int(j), direction=LEFT_CUT if left[j] else RIGHT_CUT,
-                            epoch=int(self._epoch[j]))
-                for j in cut.nonzero()[0]]
+        left, right = self._cut_flags(self._since_cut(), t - self._pointer)
+        return [self._cut(j, left[j], t) for j in np.flatnonzero(left | right)]
+
+    def _cut(self, j: int, left: bool, t: int) -> ShrinkEvent:
+        """Cut cube j at period t: a left-cut if ``left``, else a right-cut.
+
+        The only place a cut is applied.  The cube's statistics restart
+        from their current values.  Returns the shrink event.
+        """
+        lo, hi = self._lo.item(j), self._hi.item(j)
+        quarter = 0.25 * (hi - lo)
+        if left:
+            self._lo[j] = lo + quarter
+        else:
+            self._hi[j] = hi - quarter
+        self._epoch[j] += 1
+        self._pointer[j] = t
+        self.shrink_count[j] += 1
+        self._snap[..., j] = self._sums[..., j]
+        return ShrinkEvent(t=t, cube=int(j), direction=LEFT_CUT if left else RIGHT_CUT,
+                           epoch=int(self._epoch[j]))

@@ -151,6 +151,46 @@ class TestShrinkDecisions:
         more, _ = drive(pol, [0.3] * 5, cycles=10, start_t=t)
         assert more == []
 
+    @pytest.mark.parametrize("c1, c1_prime, c2", [(1e-6, 1e-6, 2.0), (0.0, 0.0, 0.0),
+                                                  (0.01, 0.1, 0.5)])
+    @pytest.mark.parametrize("shape", [(5, 400), (5, 100, 49)])
+    def test_rule_on_zero_and_negative_counts_is_silent_and_unchanged(self, c1, c1_prime, c2,
+                                                                       shape):
+        # noisy counts <= 0 give NaN ratios: the rule must neither warn nor
+        # decide differently from the errstate-guarded form it replaced
+        def guarded_rule(cfg, since):
+            r_hat, mu_hat = since
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = np.where(mu_hat > 0, r_hat / np.where(mu_hat > 0, mu_hat, 1.0), np.nan)
+            mu13 = np.min(mu_hat[0:3], axis=0)
+            mu35 = np.min(mu_hat[2:5], axis=0)
+            gate13 = (mu13 >= cfg.c2) & (mu13 > 0)
+            gate35 = (mu35 >= cfg.c2) & (mu35 > 0)
+            with np.errstate(invalid="ignore"):
+                s0, s1, s2, s3, s4 = q
+                left_gap, right_gap = np.minimum(s1 - s0, s2 - s1), np.minimum(s2 - s3, s3 - s4)
+                left = gate13 & (left_gap > 3.0 * cfg.c1 / np.sqrt(np.maximum(mu13, 1e-300))
+                                 + 3.0 * cfg.c1_prime / np.maximum(mu13, 1e-300))
+                right = gate35 & (right_gap > 3.0 * cfg.c1 / np.sqrt(np.maximum(mu35, 1e-300))
+                                  + 3.0 * cfg.c1_prime / np.maximum(mu35, 1e-300))
+            return left, right
+
+        pol = make_policy(c1=c1, c1_prime=c1_prime, c2=c2)
+        rng = np.random.default_rng(12)
+        counts = rng.integers(-3, 9, size=shape) + rng.choice([0.0, 0.25, -0.5], size=shape)
+        counts[0, ..., :5] = 0.0  # cubes with no count yet in slot 1
+        revenue = rng.normal(size=shape)
+        revenue[1, ..., -5:], counts[1, ..., -5:] = revenue[2, ..., -5:], counts[2, ..., -5:]  # zero gaps
+        since = np.stack([revenue, counts])
+        assert (counts <= 0).mean() > 0.3
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            left, right = pol._cut_flags(since, None)
+        expected = guarded_rule(pol.config, since)
+        assert left.any() and right.any() and not (left & right).all()
+        np.testing.assert_array_equal(left, expected[0])
+        np.testing.assert_array_equal(right, expected[1])
+        assert left.shape == right.shape == shape[1:]
+
     def test_shrink_count_tracks_events(self):
         pol = make_policy(T=300)
         n_cuts = 0

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from privbandit import (AdversarialEnv, LinearDemandEnv, boundary_distance,
-                        check_assumptions)
+from privbandit import AdversarialEnv, LinearDemandEnv, boundary_distance
 from privbandit.env import DemandEnvironment, boundary_distance_many
 from privbandit.partition import HypercubePartition, build_partition
-from privbandit.prng import derive_stream
+from privbandit.prng import RngStream, derive_stream
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +192,53 @@ class TestEpisodeDemand:
         env = _ConstantDemandEnv()
         with pytest.raises(NotImplementedError, match="pure demand oracle"):
             env.episode_demand(derive_stream(0, "demand"), np.zeros((3, 2)))
+
+
+def check_assumptions(env: DemandEnvironment, grid_resolution: int = 201,
+                      contexts_per_cube: int = 64, cubes_per_axis: int = 4,
+                      seed: int = 0) -> dict:
+    """Numerical audit of the regularity assumptions; report-only.
+
+    Checks, per context cube: strong concavity of the cube-averaged revenue
+    curve (negative second difference bounded away from 0 and above), and a
+    global Lipschitz estimate of f in (p, x).  Returns measured constants
+    and pass/fail flags; nothing is raised.
+    """
+    part = HypercubePartition(d=env.d, m=cubes_per_axis)
+    stream = RngStream(seed, "assumption-check")
+    ps = np.linspace(env.p_lo, env.p_hi, grid_resolution)
+    dp = ps[1] - ps[0]
+    second_diffs = []
+    for j in range(part.J):
+        lo = np.array(np.unravel_index(j, (part.m,) * part.d)) * part.h
+        hi = lo + part.h
+        xs = lo + (hi - lo) * stream.unit((contexts_per_cube, env.d))
+        fbar = np.array([np.mean(env.mean_revenue(p, xs)) for p in ps])
+        d2 = np.diff(fbar, 2) / dp**2
+        second_diffs.append(d2)
+    d2_all = np.concatenate(second_diffs)
+    sigma_sq = float(-np.max(d2_all))   # weakest curvature
+    c_sq = float(-np.min(d2_all))       # strongest curvature
+    concave = bool(sigma_sq > 1e-9)
+
+    # Lipschitz estimate for f over random pairs
+    n = 2000
+    xs = stream.unit((n, env.d))
+    xs2 = np.clip(xs + stream.uniform(-0.05, 0.05, size=(n, env.d)), 0.0, 1.0)
+    pvals = env.p_lo + (env.p_hi - env.p_lo) * stream.unit(n)
+    p2 = np.clip(pvals + stream.uniform(-0.05, 0.05, size=n), env.p_lo, env.p_hi)
+    num = np.abs(env.mean_revenue(pvals, xs) - env.mean_revenue(p2, xs2))
+    den = np.abs(pvals - p2) + np.linalg.norm(xs - xs2, axis=-1)
+    mask = den > 1e-9
+    lipschitz = float(np.max(num[mask] / den[mask]))
+
+    return {
+        "concavity_pass": concave,
+        "sigma_H_sq": sigma_sq,
+        "C_H_sq": c_sq,
+        "lipschitz_estimate": lipschitz,
+        "price_bounds": (env.p_lo, env.p_hi),
+    }
 
 
 class TestAssumptionAudit:

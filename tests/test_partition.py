@@ -11,6 +11,12 @@ from privbandit.partition import (LEFT_CUT, RIGHT_CUT, HorizonConfig, Quadrisect
 from privbandit.prng import derive_stream
 
 
+def cube_bounds(part, j: int):
+    """(lo, hi) corner vectors of cube j: its base-m digits, most significant axis first, times h."""
+    lo = np.array(np.unravel_index(j, (part.m,) * part.d)) * part.h
+    return lo, lo + part.h
+
+
 class TestBuildPartition:
     def test_perfect_square(self):
         part = build_partition(2, 4)
@@ -66,7 +72,7 @@ class TestCubeIndex:
         js = cube_index_many(part, X)
         assert np.all((0 <= js) & (js < part.J))
         for j in np.unique(js)[:20]:
-            lo, hi = part.cube_bounds(int(j))
+            lo, hi = cube_bounds(part, int(j))
             pts = X[js == j]
             assert np.all(pts >= lo - 1e-15) and np.all(pts < hi + 1e-15)
 
@@ -176,6 +182,7 @@ class TestQuadrisection:
     @settings(max_examples=200, deadline=None)
     @given(cut_sequences())
     def test_vectorized_cuts_match_chained_shrink_grid(self, case):
+        # maybe_shrink cuts every cube its rule flags, one _cut each;
         # a right cut computes hi - w/4 where shrink_grid takes lo + 3w/4,
         # so interval ends agree to rounding, epochs and pointers exactly;
         # the snapshot takes the statistics exactly on the cut cubes
@@ -187,9 +194,10 @@ class TestQuadrisection:
         tol = 1e-12 * (p_hi - p_lo)
         for t, (left, right) in enumerate(steps, start=1):
             left, right = np.array(left), np.array(right)
+            quad._cut_flags = lambda since, n: (left, right)  # the rule's verdict, by hand
             quad._sums[:] = rng.normal(size=quad._sums.shape)
             before = quad._snap.copy()
-            events = quad._cut(left, right, t)
+            events = quad.maybe_shrink(t)
             expected = []
             for j in np.flatnonzero(left | right):
                 direction = LEFT_CUT if left[j] else RIGHT_CUT  # left wins
