@@ -120,9 +120,13 @@ class TestShrinkDecisions:
         assert (g.rho[0], g.rho[4]) == pytest.approx((0.5, 3.5))
 
     def test_left_cut_wins_when_both_fire(self):
-        pol = make_policy()
-        events, _ = drive(pol, [0.1, 0.2, 0.3, 0.2, 0.1], cycles=2)
-        assert events[0].direction == LEFT_CUT
+        # both count gates are open once slot 3 is visited again at t=8, and
+        # that visit turns a valley into a symmetric peak: both gaps fire together
+        pol = make_policy(c2=1.0)
+        events, t = drive(pol, [0.1, 0.2, 0.0, 0.2, 0.1], cycles=1)
+        assert events == []
+        events, _ = drive(pol, [0.1, 0.2, 0.6, 0.2, 0.1], cycles=1, start_t=t)
+        assert [(ev.t, ev.direction) for ev in events] == [(8, LEFT_CUT)]
 
     def test_count_gate_blocks_early_cuts(self):
         pol = make_policy(c2=1000.0, T=200)
