@@ -14,8 +14,7 @@ from .env import AdversarialEnv, DemandEnvironment, LinearDemandEnv, boundary_di
 from .harness import (AggregateResult, PolicySpec, RunRecord, fit_loglog_slope,
                       make_env, percentage_regret, replicate, run_episode, run_one)
 from .lppq import LppqConfig, LppqPolicy
-from .partition import (HypercubePartition, PriceGrid, build_partition, cube_index,
-                        init_price_grid, phase_index, shrink_grid)
+from .partition import HypercubePartition, PriceGrid, build_partition, cube_index, phase_index
 from .prng import RngStream, derive_stream, laplace_from_uniform
 from .tree_agg import CapacityError, TreeAggregator
 
@@ -26,7 +25,6 @@ __all__ = [
     "DemandEnvironment", "HypercubePartition", "LinearDemandEnv", "LppqConfig",
     "LppqPolicy", "PolicySpec", "PriceGrid", "RngStream", "RunRecord", "TreeAggregator",
     "boundary_distance", "build_partition", "cube_index",
-    "derive_stream", "fit_loglog_slope", "init_price_grid", "laplace_from_uniform",
+    "derive_stream", "fit_loglog_slope", "laplace_from_uniform",
     "make_env", "percentage_regret", "phase_index", "replicate", "run_episode", "run_one",
-    "shrink_grid",
 ]

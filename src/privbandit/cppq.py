@@ -89,13 +89,10 @@ class CppqPolicy(Quadrisection):
 
     choose_price = Quadrisection.choose_price
 
-    def update(self, x, p: float, y: float, t: int, j: int | None = None) -> list:
-        """Fold in one observation; returns any shrink events fired.
-
-        ``j`` may carry a precomputed cube index for the same x (hot loop).
-        """
+    def update(self, x, p: float, y: float, t: int) -> list:
+        """Fold in one observation; returns any shrink events fired."""
         self._tick(t)
-        j_t = cube_index(self.part, x) if j is None else j
+        j_t = cube_index(self.part, x)
         k = phase_index(t) - 1
         u, v = self._u, self._v
         u[j_t] = p * y

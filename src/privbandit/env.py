@@ -13,7 +13,9 @@ caller-supplied streams, so they can be shared read-only across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,12 +73,12 @@ class DemandEnvironment:
 
     def _check_price(self, p):
         p = np.asarray(p, dtype=float)
-        if np.any(p < self.p_lo - 1e-12) or np.any(p > self.p_hi + 1e-12):
+        if not np.all((p >= self.p_lo - 1e-12) & (p <= self.p_hi + 1e-12)):  # NaN fails too
             raise ValueError(f"price outside [{self.p_lo}, {self.p_hi}]")
 
     def _check_context(self, x):
         x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0) or np.any(x > 1.0):
+        if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails too
             raise ValueError("context coordinates must lie in [0,1]")
 
 
@@ -88,10 +90,13 @@ class LinearDemandEnv(DemandEnvironment):
     noise_half_width: float = 0.1
     p_lo: float = 0.5
     p_hi: float = 4.5
-    d: int = 2
+    d: ClassVar[int] = 2  # the model reads x1 and x2
     name: str = "linear"
 
     def __post_init__(self):
+        w = self.noise_half_width
+        if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 <= w < math.inf:
+            raise ValueError(f"noise_half_width must be finite and >= 0, got {w!r}")
         th0, th1, th2, th3 = self.theta
         if not th3 < 0:
             raise ValueError(f"demand must slope down: theta3 < 0, got {th3}")
@@ -156,7 +161,7 @@ def boundary_distance(part: HypercubePartition, x):
     face distance; it is 0 on the boundary.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails too
         raise ValueError("context coordinates must lie in [0,1]")
     dist = boundary_distance_many(part, x)
     return float(dist) if x.ndim == 1 else dist
@@ -182,12 +187,18 @@ class AdversarialEnv(DemandEnvironment):
     name: str = "adversarial"
 
     def __post_init__(self):
-        nu = tuple(int(b) for b in self.nu)
-        if len(nu) != self.partition.J:
-            raise ValueError(f"nu must have one bit per cube ({self.partition.J}), got {len(nu)}")
-        if any(b not in (0, 1) for b in nu):
-            raise ValueError("nu must be a 0/1 vector")
-        object.__setattr__(self, "nu", nu)
+        if len(self.nu) != self.partition.J:
+            raise ValueError(f"nu must have one bit per cube ({self.partition.J}), "
+                             f"got {len(self.nu)}")
+        if any(b not in (0, 1) for b in self.nu):  # before int() would truncate 0.7 to 0
+            raise ValueError(f"nu must be a 0/1 vector, got {self.nu!r}")
+        object.__setattr__(self, "nu", tuple(int(b) for b in self.nu))
+        # demand is a probability and revenue at most r_max = 1 for prices in [0, 1]; the
+        # optimal prices lie in [2/3 - r / (3 (1 + r)), 2/3], r the largest boundary distance
+        r = self.partition.h / 2
+        if not (0 <= self.p_lo <= 2 / 3 - r / (3 * (1 + r)) and 2 / 3 <= self.p_hi <= 1):
+            raise ValueError(f"prices [{self.p_lo}, {self.p_hi}] must lie in [0, 1] and "
+                             f"contain the optimal prices")
 
     @property
     def d(self) -> int:

@@ -13,6 +13,7 @@ over rep index.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -114,26 +115,16 @@ def run_episode(policy, env: DemandEnvironment, T: int, stream: RngStream,
                 keep_path: bool = False) -> tuple:
     """Drive one T-period episode; returns (prices, contexts, regret fields).
 
-    The context and demand-noise streams are pre-drawn.  Every library
-    policy runs the whole episode in one call of the block engine
-    ``Quadrisection.play(js, demand) -> prices`` on the customers' cube
-    indices; any other policy is driven by the per-period
-    ``choose_price``/``update`` loop.
+    The context and demand-noise streams are pre-drawn, and the policy
+    plays the whole episode in one call of ``policy.play(js, demand) ->
+    prices`` on the customers' cube indices in ``policy.part``: for the
+    library policies that is the block engine ``Quadrisection.play``.
     """
-    policy_env = getattr(policy, "env", env)
-    if policy_env.d != env.d:
+    if policy.part.d != env.d:
         raise ValueError("policy and environment dimension mismatch")
     X = env.sample_context(stream.child("context"), size=T)
     demand = env.episode_demand(stream.child("demand"), X)
-    if hasattr(policy, "play"):
-        prices = policy.play(cube_index_many(policy.part, X), demand)
-    else:
-        prices = np.empty(T)
-        for i in range(T):
-            t = i + 1
-            p = policy.choose_price(X[i], t)
-            policy.update(X[i], p, demand(i, p), t)
-            prices[i] = p
+    prices = policy.play(cube_index_many(policy.part, X), demand)
     f_opt = env.mean_revenue(env.oracle_price(X), X)
     f_act = env.mean_revenue(prices, X)
     per_step = f_opt - f_act
@@ -238,6 +229,9 @@ def make_env(kind: str, **kwargs) -> DemandEnvironment:
     if kind == "adversarial":
         d = kwargs.pop("d", 2)
         m = kwargs.pop("m", 2)
+        for name, v in (("d", d), ("m", m)):
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+                raise ValueError(f"adversarial {name} must be an int >= 1, got {v!r}")
         part = build_partition(d, m**d)
         nu = kwargs.pop("nu", None)
         if nu is None:

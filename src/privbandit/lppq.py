@@ -78,14 +78,14 @@ class LppqPolicy(Quadrisection):
 
     choose_price = Quadrisection.choose_price
 
-    def record(self, x, p: float, y: float, t: int, j: int | None = None) -> np.ndarray:
+    def record(self, x, p: float, y: float, t: int) -> np.ndarray:
         """Privatize one customer's record and fold it into the running sums.
 
         Returns the released vector z_t; z_t is the only artifact of
         (x, y, p) that reaches the stored state.
         """
         self._tick(t)
-        j_t = cube_index(self.part, x) if j is None else j
+        j_t = cube_index(self.part, x)
         z = self._stream.laplace(self.noise_scale, size=self.J) if self.noise_enabled \
             else np.zeros(self.J)
         z[j_t] += p * y
@@ -96,9 +96,9 @@ class LppqPolicy(Quadrisection):
         """State mutation from the privatized vector only."""
         self._sums[0, phase_index(t) - 1] += z
 
-    def update(self, x, p: float, y: float, t: int, j: int | None = None) -> list:
-        """record + shrink check; the common per-period driver entry point."""
-        self.record(x, p, y, t, j=j)
+    def update(self, x, p: float, y: float, t: int) -> list:
+        """record + shrink check; the per-period entry point."""
+        self.record(x, p, y, t)
         return self.maybe_shrink(t)
 
     maybe_shrink = Quadrisection.maybe_shrink

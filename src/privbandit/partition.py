@@ -69,7 +69,7 @@ def cube_index(part: HypercubePartition, x) -> int:
     x = np.asarray(x, dtype=float)
     if x.shape != (part.d,):
         raise ValueError(f"context must have shape ({part.d},), got {x.shape}")
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails too
         raise ValueError(f"context coordinates must lie in [0,1], got {x}")
     return int(cube_index_many(part, x[None, :])[0])
 
@@ -77,7 +77,7 @@ def cube_index(part: HypercubePartition, x) -> int:
 def cube_index_many(part: HypercubePartition, X: np.ndarray) -> np.ndarray:
     """Vectorized cube_index over rows of X (shape (n, d))."""
     X = np.asarray(X, dtype=float)
-    if np.any(X < 0.0) or np.any(X > 1.0):
+    if not np.all((X >= 0.0) & (X <= 1.0)):  # NaN fails too
         raise ValueError("context coordinates must lie in [0,1]")
     digits = np.minimum((X * part.m).astype(np.int64), part.m - 1)
     weights = part.m ** np.arange(part.d - 1, -1, -1, dtype=np.int64)
@@ -95,24 +95,6 @@ class PriceGrid:
     @property
     def width(self) -> float:
         return self.rho[4] - self.rho[0]
-
-
-def init_price_grid(p_lo: float, p_hi: float) -> PriceGrid:
-    """Quartile grid on [p_lo, p_hi], epoch 1."""
-    if not p_lo < p_hi:
-        raise ValueError(f"price bounds must satisfy p_lo < p_hi, got [{p_lo}, {p_hi}]")
-    return PriceGrid(rho=_quartiles(p_lo, p_hi))
-
-
-def shrink_grid(grid: PriceGrid, direction: str, now: int) -> PriceGrid:
-    """Discard the bottom (left-cut) or top (right-cut) quarter and re-quartile."""
-    if direction == LEFT_CUT:
-        lo, hi = grid.rho[1], grid.rho[4]
-    elif direction == RIGHT_CUT:
-        lo, hi = grid.rho[0], grid.rho[3]
-    else:
-        raise ValueError(f"direction must be {LEFT_CUT!r} or {RIGHT_CUT!r}, got {direction!r}")
-    return PriceGrid(rho=_quartiles(lo, hi), epoch=grid.epoch + 1, pointer=now)
 
 
 def phase_index(t: int) -> int:
@@ -226,15 +208,11 @@ class Quadrisection:
         return PriceGrid(rho=_quartiles(self._lo[j], self._hi[j]),
                          epoch=int(self._epoch[j]), pointer=int(self._pointer[j]))
 
-    def choose_price(self, x, t: int, j: int | None = None) -> float:
-        """Grid point k of cube j at phase k of period t.
-
-        ``j`` may carry a precomputed cube index for the same x (hot loop).
-        """
+    def choose_price(self, x, t: int) -> float:
+        """Grid point k of x's cube at phase k of period t."""
         if not 1 <= t <= self.config.T:
             raise ValueError(f"t={t} outside horizon [1, {self.config.T}]")
-        if j is None:
-            j = cube_index(self.part, x)
+        j = cube_index(self.part, x)
         k = phase_index(t)
         return self._lo[j] + (k - 1) / 4.0 * (self._hi[j] - self._lo[j])
 

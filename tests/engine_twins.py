@@ -39,9 +39,8 @@ def play_twins(env, T, kind, eps, seed, preset="experiment", mode=UNIT_SCALE, J=
         else:
             prices, events = np.empty(T), []
             for i in range(T):
-                j = int(js[i])
-                prices[i] = pol.choose_price(X[i], i + 1, j=j)
-                events += pol.update(X[i], prices[i], demand(i, prices[i]), i + 1, j=j)
+                prices[i] = pol.choose_price(X[i], i + 1)
+                events += pol.update(X[i], prices[i], demand(i, prices[i]), i + 1)
             if log is not None:
                 log.update(js=js, events=events)
         twins.append((pol, prices))

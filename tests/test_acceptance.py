@@ -2,22 +2,19 @@
 
 Each test prints one PASS/FAIL line (to the real stdout, so it survives
 pytest's capture) and then asserts.  The regret benchmarks run the full
-30-replication grids and dominate the suite's runtime; they are computed
-once per session and shared across criteria.
+30-replication grids and dominate the suite's runtime; every run computes
+them live, once per session, and shares them across criteria.
 """
 
-import hashlib
 import json
 import math
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import privbandit
 from privbandit import (CppqConfig, CppqPolicy, LinearDemandEnv, PolicySpec,
                         TreeAggregator, make_env, replicate)
 from privbandit.cli import privacy_check
@@ -55,64 +52,24 @@ def _pct_grid(kind, eps_list, T_list):
     return pct, reg
 
 
-def _source_digest() -> str:
-    """sha256 over the library's module sources, in file-name order."""
-    h = hashlib.sha256()
-    for path in sorted(Path(privbandit.__file__).parent.glob("*.py")):
-        h.update(path.name.encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
-
-
-def _cached(request, key, compute):
-    """The 30-rep grids take minutes; persist them across pytest runs.
-
-    Results are keyed by the run parameters and by a digest of the library
-    sources, so changing REPS/SEED or any module under src/privbandit (or
-    clearing .pytest_cache / passing --cache-clear) recomputes.
-    """
-    full_key = f"privbandit/{key}-reps{REPS}-seed{SEED}-src{_source_digest()}"
-    hit = request.config.cache.get(full_key, None)
-    if hit is not None:
-        return hit
-    value = compute()
-    request.config.cache.set(full_key, value)
-    return value
-
-
-def _decode_grid(rows):
-    pct, reg = {}, {}
-    for eps, T, p, r in rows:
-        pct.setdefault(eps, {})[T] = p
-        reg.setdefault(eps, {})[T] = r
-    return pct, reg
+@pytest.fixture(scope="session")
+def nonprivate_row():
+    """Mean percentage regret by T, and the seconds the row took."""
+    t0 = time.monotonic()
+    spec = PolicySpec(kind=NONPRIVATE, preset="experiment")
+    row = {T: replicate(spec, ENV, T, reps=REPS, root_seed=SEED)[1].mean_pct_regret
+           for T in T_GRID}
+    return row, time.monotonic() - t0
 
 
 @pytest.fixture(scope="session")
-def nonprivate_row(request):
-    def compute():
-        t0 = time.monotonic()
-        spec = PolicySpec(kind=NONPRIVATE, preset="experiment")
-        row = [[T, replicate(spec, ENV, T, reps=REPS, root_seed=SEED)[1].mean_pct_regret]
-               for T in T_GRID]
-        return [row, time.monotonic() - t0]
-    row, elapsed = _cached(request, "nonprivate-row", compute)
-    return {T: p for T, p in row}, elapsed
+def lppq_grid():
+    return _pct_grid("lppq", EPS_GRID, T_GRID)
 
 
 @pytest.fixture(scope="session")
-def lppq_grid(request):
-    def compute():
-        pct, reg = _pct_grid("lppq", EPS_GRID, T_GRID)
-        return [[eps, T, pct[eps][T], reg[eps][T]] for eps in EPS_GRID for T in T_GRID]
-    return _decode_grid(_cached(request, "lppq-grid", compute))
-
-
-@pytest.fixture(scope="session")
-def cppq_tail(request):
-    def compute():
-        pct, reg = _pct_grid("cppq", EPS_GRID, (62500,))
-        return [[eps, 62500, pct[eps][62500], reg[eps][62500]] for eps in EPS_GRID]
-    pct, _ = _decode_grid(_cached(request, "cppq-tail", compute))
+def cppq_tail():
+    pct, _ = _pct_grid("cppq", EPS_GRID, (62500,))
     return pct
 
 

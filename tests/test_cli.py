@@ -30,6 +30,15 @@ BAD_VALUE_DOCS = [
     {"policy": {"kind": "cppq", "c2": -5, "c1": float("nan")}},
     {"policy": {"kind": "lppq", "kappa1": float("inf")}},
     {"policy": {"kind": "cppq", "c1": 10**400}},
+    # environment parameters are checked when the env is built
+    {"env": {"kind": "adversarial", "m": -1}},
+    {"env": {"kind": "adversarial", "m": True}},
+    {"env": {"kind": "adversarial", "m": 1.5}},
+    {"env": {"kind": "adversarial", "nu": [0.7, 1, 1, 1]}},
+    {"env": {"kind": "adversarial", "p_lo": 2, "p_hi": 1}},
+    {"env": {"kind": "linear", "noise_half_width": -0.1}},
+    {"env": {"kind": "linear", "noise_half_width": float("nan")}},
+    {"env": {"kind": "linear", "d": 3}},
 ]
 
 

@@ -54,6 +54,22 @@ class TestLinearDemand:
             linear.mean_demand(5.0, (0.5, 0.5))
         with pytest.raises(ValueError):
             linear.mean_demand(2.0, (1.5, 0.5))
+        with pytest.raises(ValueError, match="price"):
+            linear.mean_demand(np.nan, (0.5, 0.5))
+        with pytest.raises(ValueError, match="context"):
+            linear.mean_demand(2.0, (np.nan, 0.5))
+        with pytest.raises(ValueError, match="context"):
+            linear.oracle_price((0.5, np.nan))
+
+    @pytest.mark.parametrize("w", [-0.1, np.nan, np.inf, "0.1", True])
+    def test_rejects_bad_noise_half_width(self, w):
+        with pytest.raises(ValueError, match="noise_half_width"):
+            LinearDemandEnv(noise_half_width=w)
+
+    def test_has_two_context_coordinates(self, linear):
+        assert linear.d == 2
+        with pytest.raises(TypeError):
+            LinearDemandEnv(d=3)
 
     def test_rejects_upward_sloping_demand(self):
         with pytest.raises(ValueError):
@@ -86,6 +102,12 @@ class TestBoundaryDistance:
         assert all(boundary_distance(part, x) == pytest.approx(d)
                    for x, d in zip(X, many))
         assert np.all((0 <= many) & (many <= part.h / 2))
+
+    def test_rejects_out_of_domain(self):
+        part = build_partition(2, 4)
+        for x in ((1.5, 0.5), (-0.1, 0.5), (np.nan, 0.5)):
+            with pytest.raises(ValueError):
+                boundary_distance(part, x)
 
 
 class TestAdversarialDemand:
@@ -143,6 +165,23 @@ class TestAdversarialDemand:
             AdversarialEnv(partition=part, nu=(0, 1))
         with pytest.raises(ValueError):
             AdversarialEnv(partition=part, nu=(0, 1, 2, 0))
+        with pytest.raises(ValueError):  # int() would truncate 0.7 to 0
+            AdversarialEnv(partition=part, nu=(0.7, 1, 1, 1))
+
+    @pytest.mark.parametrize("p_lo, p_hi", [(2.0, 1.0), (0.7, 1.0), (0.0, 0.6), (-0.1, 1.0),
+                                            (0.0, 1.5), (np.nan, 1.0)])
+    def test_rejects_prices_that_miss_the_optimum_or_leave_unit_range(self, p_lo, p_hi):
+        with pytest.raises(ValueError, match="optimal prices"):
+            AdversarialEnv(partition=HypercubePartition(d=2, m=2), nu=(1, 0, 0, 1),
+                           p_lo=p_lo, p_hi=p_hi)
+
+    def test_narrow_prices_around_the_optimum_accepted(self):
+        # m=2: the largest boundary distance is 1/4, the lowest optimal price 2/3 - 1/15
+        env = AdversarialEnv(partition=HypercubePartition(d=2, m=2), nu=(1, 1, 1, 1),
+                             p_lo=0.6, p_hi=2 / 3)
+        X = derive_stream(8, "narrow").unit((500, 2))
+        ps = env.oracle_price(X)
+        assert np.all((env.p_lo <= ps) & (ps <= env.p_hi))
 
 
 class _ConstantDemandEnv(DemandEnvironment):

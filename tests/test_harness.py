@@ -4,45 +4,38 @@ import numpy as np
 import pytest
 
 from privbandit import (AggregateResult, LinearDemandEnv, PolicySpec, RunRecord,
-                        fit_loglog_slope, make_env, percentage_regret, replicate,
-                        run_episode, run_one)
+                        build_partition, fit_loglog_slope, make_env, percentage_regret,
+                        replicate, run_episode, run_one)
 from privbandit.cppq import CppqConfig
 from privbandit.harness import NONPRIVATE, aggregate, run_many
 from privbandit.lppq import LppqConfig
 from privbandit.prng import derive_stream
 
 
-class _OraclePolicy:
-    """Always posts the optimal price; the regret floor."""
-
-    def __init__(self, env):
-        self.env = env
-
-    def choose_price(self, x, t):
-        return float(self.env.oracle_price(x))
-
-    def update(self, x, p, y, t):
-        return []
-
-
 class _FixedPricePolicy:
+    """Posts one price in every period."""
+
     def __init__(self, env, p):
-        self.env = env
+        self.part = build_partition(env.d, 1)
         self.p = p
 
-    def choose_price(self, x, t):
-        return self.p
-
-    def update(self, x, p, y, t):
-        return []
+    def play(self, js, demand):
+        return np.full(len(js), self.p)
 
 
 class TestRunEpisode:
     def test_oracle_policy_has_zero_regret(self):
-        env = LinearDemandEnv()
-        _, _, oracle, realized, _ = run_episode(
-            _OraclePolicy(env), env, 500, derive_stream(0, "rep/0"))
+        # with no bit set the optimal price is 2/3 in every cube
+        env = make_env("adversarial", m=2, nu=(0, 0, 0, 0))
+        prices, X, oracle, realized, _ = run_episode(
+            _FixedPricePolicy(env, 2 / 3), env, 500, derive_stream(0, "rep/0"))
+        np.testing.assert_array_equal(env.oracle_price(X), prices)
         assert oracle - realized == pytest.approx(0.0, abs=1e-9)
+
+    def test_policy_and_env_dimensions_must_match(self):
+        policy = _FixedPricePolicy(make_env("adversarial", d=1, m=4), 2 / 3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            run_episode(policy, LinearDemandEnv(), 10, derive_stream(0, "rep/0"))
 
     def test_fixed_price_regret_matches_direct_computation(self):
         env = LinearDemandEnv()
@@ -274,3 +267,9 @@ class TestMakeEnv:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_env("cubic")
+
+    @pytest.mark.parametrize("name, value", [("m", -1), ("m", 0), ("m", True), ("m", 1.5),
+                                             ("d", 0), ("d", 2.0)])
+    def test_adversarial_sizes_must_be_ints_at_least_one(self, name, value):
+        with pytest.raises(ValueError, match=f"adversarial {name} must be an int >= 1"):
+            make_env("adversarial", **{name: value})

@@ -5,10 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privbandit import build_partition, cube_index, init_price_grid, phase_index, shrink_grid
+from privbandit import PriceGrid, build_partition, cube_index, phase_index
 from privbandit.partition import (LEFT_CUT, RIGHT_CUT, HorizonConfig, Quadrisection, ShrinkEvent,
-                                  cube_index_many)
+                                  _quartiles, cube_index_many)
 from privbandit.prng import derive_stream
+
+
+# value-type price grids, the reference the vectorized search is checked against
+def init_price_grid(p_lo: float, p_hi: float) -> PriceGrid:
+    """Quartile grid on [p_lo, p_hi], epoch 1."""
+    if not p_lo < p_hi:
+        raise ValueError(f"price bounds must satisfy p_lo < p_hi, got [{p_lo}, {p_hi}]")
+    return PriceGrid(rho=_quartiles(p_lo, p_hi))
+
+
+def shrink_grid(grid: PriceGrid, direction: str, now: int) -> PriceGrid:
+    """Discard the bottom (left-cut) or top (right-cut) quarter and re-quartile."""
+    if direction == LEFT_CUT:
+        lo, hi = grid.rho[1], grid.rho[4]
+    elif direction == RIGHT_CUT:
+        lo, hi = grid.rho[0], grid.rho[3]
+    else:
+        raise ValueError(f"direction must be {LEFT_CUT!r} or {RIGHT_CUT!r}, got {direction!r}")
+    return PriceGrid(rho=_quartiles(lo, hi), epoch=grid.epoch + 1, pointer=now)
 
 
 def cube_bounds(part, j: int):
@@ -65,6 +84,10 @@ class TestCubeIndex:
             cube_index(part, (1.1, 0.5))
         with pytest.raises(ValueError):
             cube_index(part, (-0.01, 0.5))
+        with pytest.raises(ValueError):
+            cube_index(part, (np.nan, 0.5))
+        with pytest.raises(ValueError):
+            cube_index_many(part, np.array([[0.5, 0.5], [0.5, np.nan]]))
 
     def test_partition_covers_unit_cube(self):
         part = build_partition(2, 40)
