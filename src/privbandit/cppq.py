@@ -18,12 +18,20 @@ row retirement requires.
 
 Episodes run through the block engine :meth:`Quadrisection.play`.  The
 tree noise does not depend on the data, so the ten aggregators release a
-block's noise offsets up front (:func:`tree_agg.noise_offsets`); this
-policy supplies them with the exact totals, adds each visit's count, and
-owns the cut rule.  The engine makes the same releases from the same
-draws, so the central-DP statement is unchanged; the per-period
-``choose_price``/``update`` path stays the online API and the reference the
-engine is tested against.
+block's noise offsets up front (:func:`tree_agg.noise_offsets`, one
+Laplace transform for all ten); this policy supplies them with the exact
+totals, adds each visit's count, and owns the cut rule.  The engine makes
+the same releases from the same draws, so the central-DP statement is
+unchanged; the per-period ``choose_price``/``update`` path stays the online
+API and the reference the engine is tested against.
+
+The rule is a conjunction whose count gate mu >= c2 is almost always shut
+under noise (c2 = log^2 T / eps in the experiment preset), so
+:meth:`CppqPolicy._cut_flags` evaluates the gate everywhere and the
+ratios, gaps and widths only where it opens.  With the noise off (c2 = 0)
+the gate is mostly open, but a cube's statistics then move only at its
+visits and the rule does not read n, so the engine checks each row's own
+cube only.  Both give the flags of the rule evaluated everywhere.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .partition import UNIT_SCALE, HorizonConfig, Quadrisection, cube_index, gaps, phase_index
+from .partition import UNIT_SCALE, HorizonConfig, Quadrisection, cube_index, phase_index
 from .prng import RngStream
 from .tree_agg import TreeAggregator, noise_offsets
 
@@ -65,6 +73,7 @@ class CppqPolicy(Quadrisection):
     """Single-owner mutable policy state; one instance per replication."""
 
     S = 2  # released revenue r and count mu per slot
+    RULE_READS_N = False  # the count gate stands in for n
     BLOCK = 100  # periods per block of play, a multiple of 5: (BLOCK, 2, 5, J) arrays
 
     def __init__(self, config: CppqConfig, env, stream: RngStream,
@@ -107,21 +116,32 @@ class CppqPolicy(Quadrisection):
         """Left and right cut flags from since-cut revenue and count sums (2, 5, ...).
 
         The one copy of the cut rule: :meth:`maybe_shrink` applies it across
-        cubes, :meth:`play` across the periods of a block and its cubes.  The
-        count gate stands in for the period count n, which goes unused.
-        Nothing here warns: the ratio never divides by a count <= 0, and
-        comparisons with its NaNs are silent.
+        cubes, :meth:`play` across the rows and cubes of a block, or at each
+        row's own cube when the noise is off, and the replay across one
+        cube's rows.  The count gate stands in for the period count n, which
+        goes unused.  The rule is a conjunction, so it works out the gate
+        everywhere and the ratios, gaps and widths only where the gate
+        opens, with the same elementwise operations on the same values: the
+        flags are those of the rule evaluated everywhere
+        (``tests/engine_twins.dense_cut_flags``).  A side's gate opens only
+        where its three counts are > 0, so its ratios never divide by a
+        count <= 0, and comparisons with NaN are silent.
         """
         cfg = self.config
         r_hat, mu_hat = since
-        # ratio estimates; invalid slots are masked by the count gate below
-        counted = mu_hat > 0
-        q = np.where(counted, r_hat / np.where(counted, mu_hat, 1.0), np.nan)
         # the smallest count over slots 1..3 and over slots 3..5, stacked as gaps() stacks
         mu = np.minimum(np.minimum(mu_hat[0:3:2], mu_hat[1:4:2]), mu_hat[2:5:2])
-        floor = np.maximum(mu, 1e-300)
-        width = 3.0 * cfg.c1 / np.sqrt(floor) + 3.0 * cfg.c1_prime / floor
-        left, right = (mu >= cfg.c2) & (mu > 0) & (gaps(q) > width)
+        flags = (mu >= cfg.c2) & (mu > 0)
+        at = flags.nonzero()
+        if at[0].size:
+            # a side's slots from the outside in, 0, 1, 2 on the left and 4, 3, 2 on the
+            # right: min(q1 - q0, q2 - q1) takes the two differences of gaps() on either side
+            slots = (2 + (2 * at[0] - 1) * np.arange(2, -1, -1)[:, None],) + at[1:]
+            q = r_hat[slots] / mu_hat[slots]
+            floor = np.maximum(mu[at], 1e-300)
+            width = 3.0 * cfg.c1 / np.sqrt(floor) + 3.0 * cfg.c1_prime / floor
+            flags[at] = np.minimum(q[1] - q[0], q[2] - q[1]) > width
+        left, right = flags
         return left, right
 
     def _block_inputs(self, block_js: np.ndarray) -> tuple:

@@ -65,13 +65,20 @@ def build_partition(d: int, J_request: int) -> HypercubePartition:
 
 
 def cube_index(part: HypercubePartition, x) -> int:
-    """Row-major index of the cube containing x; the top face clamps inward."""
+    """Row-major index of the cube containing x; the top face clamps inward.
+
+    The scalar form of :func:`cube_index_many`, digit by digit in Python
+    floats, the same truncated products; it checks x once.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (part.d,):
         raise ValueError(f"context must have shape ({part.d},), got {x.shape}")
-    if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails too
-        raise ValueError(f"context coordinates must lie in [0,1], got {x}")
-    return int(cube_index_many(part, x[None, :])[0])
+    m, j = part.m, 0
+    for coord in x.tolist():
+        if not 0.0 <= coord <= 1.0:  # NaN fails too
+            raise ValueError(f"context coordinates must lie in [0,1], got {x}")
+        j = j * m + min(int(coord * m), m - 1)
+    return j
 
 
 def cube_index_many(part: HypercubePartition, X: np.ndarray) -> np.ndarray:
@@ -170,10 +177,14 @@ class Quadrisection:
     Subclasses privatize the statistics, read them back through
     :meth:`_since_cut` and decide which cubes cut with ``_cut_flags(since,
     n)``.  For the block engine :meth:`play` they also set ``BLOCK`` and
-    supply ``_block_inputs(block_js)``.
+    supply ``_block_inputs(block_js)``.  A rule that does not read the
+    period count n says so with ``RULE_READS_N = False``; its statistics
+    must then move only at a cube's visits whenever a block has no noise
+    offsets.
     """
 
     S = 1  # statistics per slot: the revenue p*y, then any counts
+    RULE_READS_N = True  # whether the cut rule reads n; see _play_block
 
     def __init__(self, config: HorizonConfig, env, sensitivity_mode: str = UNIT_SCALE):
         if sensitivity_mode not in (UNIT_SCALE, SENSITIVITY_CORRECT):
@@ -257,8 +268,18 @@ class Quadrisection:
         in-place cumsum over the (groups+1, S, 5, J) increments of each
         group of five rows, whose row 0 holds the carried totals, repeats
         the loop's additions; the totals after every row are then spread
-        from it, and the cut rule is evaluated at every row and cube.  Only
-        the cubes that fired are replayed.
+        from it.
+
+        The cut rule is then evaluated at every row and cube, except in a
+        block without noise offsets whose rule does not read n
+        (``RULE_READS_N`` false: cppq with its noise off).  There a cube's
+        statistics, and so its flags, change only at its visits, and no
+        cube fires at the block start: the first block starts from zero
+        counts, and every block ends with every cube checked.  So the rule
+        is evaluated only at each row's own cube, and the first row at
+        which a cube fires, with its side, is the one the check at every
+        row finds.  Either way only the cubes that fired are replayed, by
+        the one ``replay`` both share.
         """
         r, row_after, slot, group = rows_index
         rows = len(r)
@@ -321,13 +342,23 @@ class Quadrisection:
                     return
                 at, left = a + f, lefts[f]
 
-        since = released(slice(None), slice(None)) - self._snap
-        left, right = self._cut_flags(since.transpose(1, 2, 0, 3),
-                                      (b0 + row_after)[:, None] - self._pointer)
-        fired = left | right
-        for j in np.flatnonzero(fired.any(axis=0)):
-            at = int(fired[:, j].argmax())
-            replay(j, at, left[at, j])
+        if off is None and not self.RULE_READS_N:
+            # without noise a cube's statistics move only at its visits, and so does a
+            # rule blind to n: check each row's own cube, (S, 5, rows)
+            since = released(r, block_js).transpose(1, 2, 0) - self._snap[..., block_js]
+            left, right = self._cut_flags(since, b0 + row_after - self._pointer[block_js])
+            fired = np.flatnonzero(left | right)
+            cubes, first = np.unique(block_js[fired], return_index=True)
+            for j, at in zip(cubes, fired[first]):
+                replay(j, int(at), left[at])
+        else:
+            since = released(slice(None), slice(None)) - self._snap
+            left, right = self._cut_flags(since.transpose(1, 2, 0, 3),
+                                          (b0 + row_after)[:, None] - self._pointer)
+            fired = left | right
+            for j in np.flatnonzero(fired.any(axis=0)):
+                at = int(fired[:, j].argmax())
+                replay(j, at, left[at, j])
         totals[:] = tot[rows]
         self._sums[:] = released(rows - 1, slice(None))
 

@@ -71,12 +71,15 @@ def derive_stream(root_seed: int, label: str) -> RngStream:
     return RngStream(root_seed, label)
 
 
-def laplace_from_uniform(u, scale: float):
+def laplace_from_uniform(u, scale):
     """Inverse-CDF map from uniform u in (0,1) to Laplace(0, scale).
 
     Vectorized; u exactly 0.5 maps to 0.  log1p keeps precision near u=1/2.
+    ``scale`` may be an array that broadcasts against u, so that draws of
+    several scales share one transform; every element must be positive.
     """
-    if not scale > 0:
+    positive = scale > 0  # NaN fails too
+    if not (positive if isinstance(positive, bool) else np.all(positive)):
         raise ValueError(f"Laplace scale must be positive, got {scale}")
     u = np.asarray(u, dtype=float)
     half = u - 0.5

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .prng import RngStream
+from .prng import RngStream, laplace_from_uniform
 
 
 class CapacityError(RuntimeError):
@@ -100,12 +100,17 @@ def noise_offsets(aggs: list, counts: list) -> np.ndarray | None:
     n+i adds to aggregator a's running sum, row 0 the one now; rows past
     ``counts[a]`` are unused.  Afterwards each ``n`` and ``noise`` is as
     ``counts[a]`` updates leave it; ``total`` is the caller's.  Each
-    aggregator's rows come from one (counts[a], width) draw of its own
-    stream, the same bits as ``counts[a]`` draws of one row, and one index
-    table and one gather serve all of them.  Each offset is one reduction
-    over all L+1 levels, as in ``update``: for width 1 numpy sums eight or
-    more levels pairwise, so adding them one at a time would not give the
-    same bits.  With noise off there are no offsets and the result is None.
+    aggregator's uniforms come from one (counts[a], width) draw of its own
+    stream, and the drawn rows of all of them, and only those, go through
+    one Laplace transform at each row's own scale: elementwise, so each
+    stream's rows have the bits of ``counts[a]`` Laplace draws of one row.
+    One index table and one gather serve all aggregators.  Each offset is
+    one reduction over all L+1 levels, as in ``update``: for width 1 numpy
+    sums eight or more levels pairwise, so adding them one at a time would
+    not give the same bits.  Every offset is summed, also where no cut rule
+    reads it: cppq's rule reads revenue offsets only where its count gate
+    opens, but summing only those measured no faster.  With noise off there
+    are no offsets and the result is None.
     """
     first = aggs[0]
     n0, L1, width = first.n, first.L + 1, first.width
@@ -125,9 +130,13 @@ def noise_offsets(aggs: list, counts: list) -> np.ndarray | None:
     src = high << levels
     # table rows: the carried levels, a zero row, then the rows of updates n0+1..n0+top
     table = np.zeros((len(aggs), L1 + 1 + top, width))
-    for a, cnt, rows in zip(aggs, counts, table):
+    for a, rows in zip(aggs, table):
         rows[:L1] = a.noise
-        rows[L1 + 1:L1 + 1 + cnt] = a._stream.laplace(a.noise_scale, size=(cnt, width))
+    # the drawn rows only, in aggregator order, through one transform; unused rows stay zero
+    drawn = np.arange(top) < np.array(counts)[:, None]
+    u = np.concatenate([a._stream.unit((cnt, width)) for a, cnt in zip(aggs, counts)])
+    scale = np.repeat([a.noise_scale for a in aggs], counts)[:, None]
+    table[:, L1 + 1:][drawn] = laplace_from_uniform(u, scale)
     # all-advanced indexing keeps the result C-ordered, so each level sum runs as in update
     gathered = table[np.arange(len(aggs))[:, None, None],
                      np.where(high & 1, np.where(src > n0, L1 + src - n0, levels), L1)]

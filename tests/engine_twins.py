@@ -3,6 +3,8 @@
 ``play_twins`` runs one episode twice, per period and through ``play``;
 ``assert_same_state`` compares the two policies bit for bit, and
 ``cut_shapes`` summarizes the cuts a replay has to handle.
+``dense_cut_flags`` is cppq's cut rule evaluated at every entry, the
+reference for the gate-first ``CppqPolicy._cut_flags``.
 ``PlayPreamble`` holds the tests of the input and clock checks that
 ``Quadrisection.play`` makes around every engine; a ``TestPlay`` class sets
 ``KIND`` and inherits them.
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from privbandit import LinearDemandEnv, PolicySpec
-from privbandit.partition import UNIT_SCALE, cube_index_many
+from privbandit.partition import UNIT_SCALE, cube_index_many, gaps
 from privbandit.prng import derive_stream
 
 ENV = LinearDemandEnv()
@@ -85,6 +87,21 @@ def cut_shapes(log, block):
         longest = max(longest, run)
         last_row += e.t % block == 0 or e.t == T
     return longest, last_row
+
+
+def dense_cut_flags(cfg, since):
+    """cppq's cut rule on since-cut sums (2, 5, ...), with every ratio, gap and width.
+
+    Invalid ratios are NaN and masked by the count gate; nothing warns.
+    """
+    r_hat, mu_hat = since
+    counted = mu_hat > 0
+    q = np.where(counted, r_hat / np.where(counted, mu_hat, 1.0), np.nan)
+    mu = np.minimum(np.minimum(mu_hat[0:3:2], mu_hat[1:4:2]), mu_hat[2:5:2])
+    floor = np.maximum(mu, 1e-300)
+    width = 3.0 * cfg.c1 / np.sqrt(floor) + 3.0 * cfg.c1_prime / floor
+    left, right = (mu >= cfg.c2) & (mu > 0) & (gaps(q) > width)
+    return left, right
 
 
 def constant_demand(i, p):

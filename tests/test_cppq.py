@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from engine_twins import PlayPreamble, assert_same_state, cut_shapes, play_twins
+from engine_twins import PlayPreamble, assert_same_state, cut_shapes, dense_cut_flags, play_twins
 from privbandit import CppqConfig, CppqPolicy, LinearDemandEnv, LppqPolicy, make_env
 from privbandit.partition import LEFT_CUT, PRESETS, RIGHT_CUT, SENSITIVITY_CORRECT, UNIT_SCALE
-from privbandit.prng import derive_stream
+from privbandit.prng import derive_stream, laplace_from_uniform
 
 
 ENV = LinearDemandEnv()
@@ -206,6 +207,59 @@ class TestShrinkDecisions:
         assert pol.price_grid(0).epoch == n_cuts + 1
 
 
+# since-cut (revenue, count) columns of one cube, slots 1..5: a peak, where both sides
+# fire; a rise and a fall, where one does; a peak with no count yet in slot 1, with a
+# negative count in slot 4 and with a NaN revenue in slot 2; and a flat curve
+PEAK, EVEN = [0.1, 0.2, 0.6, 0.2, 0.1], [3.0] * 5
+RULE_COLUMNS = np.array([
+    (PEAK, EVEN), ([0.1, 0.2, 0.3, 0.3, 0.3], EVEN), ([0.3, 0.3, 0.3, 0.2, 0.1], EVEN),
+    (PEAK, [0.0, 3.0, 3.0, 3.0, 3.0]), (PEAK, [3.0, 3.0, 3.0, -0.5, 3.0]),
+    ([0.1, np.nan, 0.6, 0.2, 0.1], EVEN), ([0.3] * 5, EVEN),
+]).transpose(1, 2, 0)  # (2, 5, 7)
+RULE_FLAGS = [[1, 1, 0, 0, 1, 0, 0], [1, 0, 1, 1, 0, 1, 0]]
+RULE_COUNTS = [-2.0, -0.5, 0.0, 0.25, 1.0, 2.0, 3.0, 7.0]
+
+
+class TestCutRule:
+    """The gate-first rule against the same rule evaluated at every entry."""
+
+    @staticmethod
+    def assert_dense_flags(pol, since):
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            flags = pol._cut_flags(since, None)
+        for got, want in zip(flags, dense_cut_flags(pol.config, since)):
+            assert got.shape == since.shape[2:]
+            np.testing.assert_array_equal(got, want)
+        return flags
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dims=st.sampled_from(["J", "RJ", "R"]),
+           c1=st.sampled_from([0.0, 1e-3, 0.5]), c1_prime=st.sampled_from([0.0, 1e-2, 1.0]),
+           c2=st.sampled_from([0.0, 0.5, 2.0, 1e9]))
+    def test_gate_first_equals_dense(self, data, dims, c1, c1_prime, c2):
+        # shapes (2, 5, J), (2, 5, R, J) and (2, 5, R); counts <= 0, NaN revenue, a shut gate
+        sizes = {"J": st.integers(1, 9), "R": st.integers(1, 12)}
+        shape = (5,) + tuple(data.draw(sizes[d]) for d in dims)
+        revenue = data.draw(arrays(np.float64, shape,
+                                   elements=st.one_of(st.floats(-3.0, 3.0), st.just(math.nan))))
+        counts = data.draw(arrays(np.float64, shape, elements=st.sampled_from(RULE_COUNTS)))
+        pol = make_policy(c1=c1, c1_prime=c1_prime, c2=c2)
+        self.assert_dense_flags(pol, np.stack([revenue, counts]))
+
+    @pytest.mark.parametrize("c2", [0.0, 2.0, 1e9])
+    @pytest.mark.parametrize("shape", [(7,), (4, 7), (28,)])
+    def test_gate_first_on_every_kind_of_cube(self, c2, shape):
+        if len(shape) == 2:  # (2, 5, R, J): the same cubes in every row
+            since = np.broadcast_to(RULE_COLUMNS[:, :, None], (2, 5) + shape).copy()
+        else:
+            since = np.tile(RULE_COLUMNS, shape[0] // 7)
+        flags = np.stack(self.assert_dense_flags(make_policy(c2=c2), since))
+        if c2 > 100:  # the gate is shut everywhere
+            assert not flags.any()
+        else:
+            np.testing.assert_array_equal(flags.reshape(2, -1, 7)[:, 0], RULE_FLAGS)
+
+
 class TestStructure:
     def test_every_cube_updated_every_period(self):
         # after t periods, each phase-k aggregator has ticked once per phase-k
@@ -258,6 +312,22 @@ class TestStructure:
         ratio = cor._reward_agg[0].noise_scale / lit._reward_agg[0].noise_scale
         assert ratio == pytest.approx(ENV.r_max)
         assert cor._count_agg[0].noise_scale == lit._count_agg[0].noise_scale
+
+    def test_one_transform_equals_each_streams_laplace(self):
+        # sensitivity-correct scales the reward noise by r_max, so a block's ten
+        # aggregators draw at two scales; one transform of their stacked uniforms
+        # gives each stream's own Laplace draws
+        twins = [make_policy(eps=1.0, T=640, J=9, sensitivity_mode=SENSITIVITY_CORRECT)
+                 for _ in range(2)]
+        stacks = [pol._reward_agg + pol._count_agg for pol in twins]
+        scales = [agg.noise_scale for agg in stacks[0]]
+        assert len(set(scales)) == 2
+        counts = [20, 20, 19, 19, 19] * 2
+        u = np.concatenate([agg._stream.unit((cnt, 9)) for agg, cnt in zip(stacks[0], counts)])
+        stacked = laplace_from_uniform(u, np.repeat(scales, counts)[:, None])
+        own = [agg._stream.laplace(agg.noise_scale, size=(cnt, 9))
+               for agg, cnt in zip(stacks[1], counts)]
+        np.testing.assert_array_equal(stacked, np.concatenate(own))
 
     def test_rejects_unknown_sensitivity_mode(self):
         with pytest.raises(ValueError):
@@ -336,6 +406,26 @@ class TestPlay(PlayPreamble):
         loop, engine = play_twins(ENVS[env], T, kind, eps, seed=5, J=J, overrides=ZERO)
         assert (loop[0].shrink_count > 0).mean() > 0.5
         assert loop[0].shrink_count.max() >= 3
+        assert_same_state(loop, engine)
+
+    @pytest.mark.parametrize("T, J, seed, last_row", [
+        (4 * BLOCK + 37, 16, 1, 0),  # several blocks and cubes
+        (10 * BLOCK + 3, 1, 2, 0),  # J = 1: every row is a visit
+        (1003, 9, 1, 2)])  # two cuts on a block's last row
+    def test_noise_free_checks_at_visit_rows(self, T, J, seed, last_row):
+        # with the noise off the engine checks each row's own cube only; c2 = 3 keeps a
+        # side's count gate shut until each of its slots has three visits
+        assert T % BLOCK
+        log = {}
+        loop, engine = play_twins(ENV, T, "nonprivate", math.inf, seed, J=J,
+                                  overrides=(("c2", 3.0),), log=log)
+        assert loop[0].shrink_count.sum() >= 6
+        assert cut_shapes(log, BLOCK)[1] >= last_row
+        assert_same_state(loop, engine)
+
+    def test_benchmark_shape_full_horizon(self):
+        loop, engine = play_twins(ENV, 62500, "cppq", 1.0, seed=3)
+        assert loop[0].J == 49 and loop[0].shrink_count.sum() > 50
         assert_same_state(loop, engine)
 
     def test_nonprivate_full_horizon(self):

@@ -35,6 +35,19 @@ class TestLaplaceInverseCdf:
         with pytest.raises(ValueError):
             laplace_from_uniform(0.3, -1.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_rejects_a_bad_element_of_an_array_scale(self, bad):
+        with pytest.raises(ValueError):
+            laplace_from_uniform(0.3, bad)
+        with pytest.raises(ValueError):
+            laplace_from_uniform(np.full((2, 3), 0.3), np.array([[1.0], [bad]]))
+
+    def test_array_scale_broadcasts_per_row(self):
+        u = np.array([[0.75, 0.25], [0.75, 0.5]])
+        out = laplace_from_uniform(u, np.array([[2.0], [3.0]]))
+        np.testing.assert_array_equal(out[0], laplace_from_uniform(u[0], 2.0))
+        np.testing.assert_array_equal(out[1], laplace_from_uniform(u[1], 3.0))
+
     def test_laplace_sample_uses_stream(self):
         s = derive_stream(7, "laplace")
         v = s.laplace(3.0)

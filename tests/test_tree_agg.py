@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privbandit import CapacityError, TreeAggregator
+from privbandit import CapacityError, TreeAggregator, tree_agg
 from privbandit.tree_agg import noise_offsets
-from privbandit.prng import derive_stream
+from privbandit.prng import derive_stream, laplace_from_uniform
 
 
 def noiseless(T, width=1):
@@ -224,6 +224,20 @@ class TestNoiseOffsets:
         off = noise_offsets(stack, [640, 637])
         for loop, rows, cnt in zip(loops, off, [640, 637]):
             np.testing.assert_array_equal(rows[1:cnt + 1, 0], [loop.update(0.0) for _ in range(cnt)])
+
+    def test_transforms_only_the_drawn_rows(self, monkeypatch):
+        # the table rows past an aggregator's count stay zero and untransformed
+        shapes = []
+
+        def spy(u, scale):
+            shapes.append(np.shape(u))
+            return laplace_from_uniform(u, scale)
+
+        monkeypatch.setattr(tree_agg, "laplace_from_uniform", spy)
+        stack = [TreeAggregator(1.0, 100, derive_stream(6, f"agg/{k}"), width=3) for k in range(3)]
+        with np.errstate(all="raise"):
+            noise_offsets(stack, [7, 6, 4])
+        assert shapes == [(17, 3)]
 
     def test_noise_off_offsets_are_zero(self):
         # exact releases need no offsets: none are built, and the clocks still advance
