@@ -26,7 +26,7 @@ import numpy as np
 
 from .harness import (NONPRIVATE, PolicySpec, aggregate, fit_loglog_slope, make_env,
                       percentage_regret, run_many)
-from .partition import SENSITIVITY_CORRECT, UNIT_SCALE
+from .partition import SENSITIVITY_CORRECT, UNIT_SCALE, build_partition
 from .prng import RngStream, seed_from_env
 from .svgplot import line_chart
 
@@ -88,7 +88,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     cfg.env_kind = env["kind"]
     cfg.env_params = {k: v for k, v in env.items() if k != "kind"}
     try:
-        make_env(cfg.env_kind, **cfg.env_params)
+        d = make_env(cfg.env_kind, **cfg.env_params).d
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad env {env}: {exc}") from None
 
@@ -100,6 +100,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         cfg.policy_preset = policy.get("preset", cfg.policy_preset)
         if policy.get("J") is not None:
             cfg.J = _positive_int(policy["J"], "policy J")
+            try:
+                build_partition(d, cfg.J)
+            except ValueError as exc:
+                raise ConfigError(f"policy J: {exc}") from None
         cfg.policy_overrides = {k: v for k, v in policy.items()
                                 if k not in ("kind", "preset", "J")}
 
@@ -146,6 +150,8 @@ def _positive_int(v, name):
 def _parse_eps(v):
     if v == "inf":
         return math.inf
+    if isinstance(v, bool):
+        raise ConfigError(f"eps entries must be positive numbers or 'inf', got {v!r}")
     try:
         e = float(v)
     except (TypeError, ValueError):

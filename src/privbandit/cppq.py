@@ -19,8 +19,10 @@ row retirement requires.
 Episodes run through the block engine :meth:`Quadrisection.play`.  The
 tree noise does not depend on the data, so the ten aggregators release a
 block's noise offsets up front (:func:`tree_agg.noise_offsets`, one
-Laplace transform for all ten); this policy supplies them with the exact
-totals, adds each visit's count, and owns the cut rule.  The engine makes
+Laplace transform for all ten).  Each slot ticks once per group of five
+periods, so this policy supplies one offset per group, with the exact
+totals, adds each visit's count, and owns the cut rule; the engine owns
+the block size and spreads groups to periods.  The engine makes
 the same releases from the same draws, so the central-DP statement is
 unchanged; the per-period ``choose_price``/``update`` path stays the online
 API and the reference the engine is tested against.
@@ -74,7 +76,6 @@ class CppqPolicy(Quadrisection):
 
     S = 2  # released revenue r and count mu per slot
     RULE_READS_N = False  # the count gate stands in for n
-    BLOCK = 100  # periods per block of play, a multiple of 5: (BLOCK, 2, 5, J) arrays
 
     def __init__(self, config: CppqConfig, env, stream: RngStream,
                  sensitivity_mode: str = UNIT_SCALE):
@@ -148,17 +149,15 @@ class CppqPolicy(Quadrisection):
         """The aggregators' totals, each visit's count, and their noise offsets.
 
         Row r counts 1 in its cube's statistic 1; its revenue comes with the
-        post.  Slot k's aggregators tick on rows k, k+5, ..., so after row r
-        their release carries offset (r - k) // 5 + 1 of :func:`noise_offsets`.
+        post.  Slot k's aggregators tick on rows k, k+5, ...: ``counts[k]``
+        times, once per group of five rows but for a partial last group.
+        Group g's offsets are row g of :func:`noise_offsets`, viewed as
+        (groups+1, 2, 5, J); the engine spreads them to rows.
         """
         J, rows = self.J, len(block_js)
-        r = np.arange(rows)
         inc = np.zeros((rows, self.S, J))
-        inc[r, 1, block_js] = 1.0
+        inc[np.arange(rows), 1, block_js] = 1.0
         counts = [(rows - k + 4) // 5 for k in range(5)]
         stacked = noise_offsets(self._reward_agg + self._count_agg, counts * 2)
-        off = None
-        if stacked is not None:
-            after = (r[:, None] - np.arange(5)) // 5 + 1
-            off = stacked.reshape(2, 5, -1, J)[np.arange(2)[:, None], np.arange(5), after[:, None]]
+        off = None if stacked is None else stacked.reshape(2, 5, -1, J).transpose(2, 0, 1, 3)
         return self._totals, inc, off

@@ -91,7 +91,7 @@ class LinearDemandEnv(DemandEnvironment):
     p_lo: float = 0.5
     p_hi: float = 4.5
     d: ClassVar[int] = 2  # the model reads x1 and x2
-    name: str = "linear"
+    name: ClassVar[str] = "linear"
 
     def __post_init__(self):
         w = self.noise_half_width
@@ -184,7 +184,7 @@ class AdversarialEnv(DemandEnvironment):
     nu: tuple = ()
     p_lo: float = 0.0
     p_hi: float = 1.0
-    name: str = "adversarial"
+    name: ClassVar[str] = "adversarial"
 
     def __post_init__(self):
         if len(self.nu) != self.partition.J:

@@ -61,8 +61,6 @@ class LppqConfig(HorizonConfig):
 class LppqPolicy(Quadrisection):
     """Single-owner mutable policy state; one instance per replication."""
 
-    BLOCK = 200  # periods per block of play, a multiple of 5: (BLOCK, J) Laplace draws
-
     def __init__(self, config: LppqConfig, env, stream: RngStream,
                  sensitivity_mode: str = UNIT_SCALE):
         super().__init__(config, env, sensitivity_mode)

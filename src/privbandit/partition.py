@@ -53,6 +53,8 @@ def build_partition(d: int, J_request: int) -> HypercubePartition:
     """Smallest per-axis count m with m^d >= J_request cubes."""
     if d < 1 or J_request < 1:
         raise ValueError(f"need d >= 1 and J_request >= 1, got d={d}, J_request={J_request}")
+    if J_request > _MAX_CUBES:  # before the float root, which overflows for huge ints
+        raise ValueError(f"partition too fine: more than {_MAX_CUBES} cubes requested")
     m = max(1, math.ceil(J_request ** (1.0 / d)))
     # float root can land one off in either direction
     while m > 1 and (m - 1) ** d >= J_request:
@@ -169,6 +171,24 @@ def gaps(s: np.ndarray) -> np.ndarray:
     return np.minimum(s[1:3] - s[0:4:3], s[2:4] - s[1:5:3])
 
 
+def _spread(g: np.ndarray) -> np.ndarray:
+    """Per-row values (5*groups+1, S, 5, J) of per-group values (groups+1, S, 5, J).
+
+    Row r of a block feeds slot r % 5 only, so after it slot k holds group
+    (r - k) // 5 + 1's value: after row 5g + q, slots up to q hold group
+    g + 1's value, later slots group g's.  Row r + 1 of the result is the
+    value after row r, row 0 the one before the block, as in ``g``.
+    """
+    groups = len(g) - 1
+    out = np.empty((5 * groups + 1,) + g.shape[1:])
+    out[0] = g[0]
+    rows = out[1:].reshape((groups, 5) + g.shape[1:])
+    rows[:] = g[1:, None]
+    for k in range(1, 5):
+        rows[:, :k, :, k] = g[:-1, None, :, k]
+    return out
+
+
 class Quadrisection:
     """Per-cube price intervals of the parallel quadrisection search.
 
@@ -176,15 +196,16 @@ class Quadrisection:
     (S, 5, J)) and their values ``_snap`` at the cube's last cut.
     Subclasses privatize the statistics, read them back through
     :meth:`_since_cut` and decide which cubes cut with ``_cut_flags(since,
-    n)``.  For the block engine :meth:`play` they also set ``BLOCK`` and
-    supply ``_block_inputs(block_js)``.  A rule that does not read the
-    period count n says so with ``RULE_READS_N = False``; its statistics
-    must then move only at a cube's visits whenever a block has no noise
-    offsets.
+    n)``.  For the block engine :meth:`play` they also supply
+    ``_block_inputs(block_js)``; the block size and its slot schedule are
+    the engine's.  A rule that does not read the period count n says so
+    with ``RULE_READS_N = False``; its statistics must then move only at a
+    cube's visits whenever a block has no noise offsets.
     """
 
     S = 1  # statistics per slot: the revenue p*y, then any counts
     RULE_READS_N = True  # whether the cut rule reads n; see _play_block
+    BLOCK = 200  # periods per block of play, a multiple of 5: row r of a block has slot r % 5
 
     def __init__(self, config: HorizonConfig, env, sensitivity_mode: str = UNIT_SCALE):
         if sensitivity_mode not in (UNIT_SCALE, SENSITIVITY_CORRECT):
@@ -235,8 +256,7 @@ class Quadrisection:
         exactly the state T ``choose_price``/``update`` calls leave, bit for
         bit, with every noise stream at the same position; afterwards the
         clock expects t = T + 1, as after the loop.  The horizon is walked
-        in blocks of ``BLOCK`` periods, a multiple of 5, so row r of a block
-        has slot r % 5.
+        in blocks of ``BLOCK`` periods.
         """
         T = self.config.T
         if self._expected_t != 1:
@@ -262,13 +282,13 @@ class Quadrisection:
         ``_block_inputs(block_js)`` gives the policy's exact running totals
         (S, 5, J), which the block advances in place, the price-free
         increments (rows, S, J) that each row adds to its own slot, and the
-        noise offsets a release adds to the totals after each row (rows, S,
-        5, J), or None.  Every visit is posted at the block-start prices
-        with one demand call.  Row r adds to slot r % 5 only, so one
-        in-place cumsum over the (groups+1, S, 5, J) increments of each
-        group of five rows, whose row 0 holds the carried totals, repeats
-        the loop's additions; the totals after every row are then spread
-        from it.
+        noise offsets a release adds to the totals after each group of five
+        rows (groups+1, S, 5, J), row 0 the one now, or None.  Every visit
+        is posted at the block-start prices with one demand call.  Row r
+        adds to slot r % 5 only, so one in-place cumsum over the (groups+1,
+        S, 5, J) increments of each group of five rows, whose row 0 holds
+        the carried totals, repeats the loop's additions.  :func:`_spread`
+        takes the totals, and the offsets, from groups to rows.
 
         The cut rule is then evaluated at every row and cube, except in a
         block without noise offsets whose rule does not read n
@@ -285,21 +305,16 @@ class Quadrisection:
         rows = len(r)
         block_js = js[b0:b0 + rows]
         totals, inc, off = self._block_inputs(block_js)
-        groups = (rows + 4) // 5
-        steps = np.zeros((groups + 1,) + totals.shape)
+        steps = np.zeros(((rows + 4) // 5 + 1,) + totals.shape)
         steps[0] = totals
         steps[group, :, slot] = inc
         steps[group, 0, slot, block_js] += self._post(
             r, self._lo[block_js], self._hi[block_js], b0, demand, prices)
         np.cumsum(steps, axis=0, out=steps)
-        # after row 5g + q, slots up to q hold group g's sums, later slots group g - 1's
-        tot = np.empty((5 * groups + 1,) + totals.shape)
-        tot[0] = totals
-        spread = tot[1:].reshape((groups, 5) + totals.shape)
-        spread[:] = steps[1:, None]
-        for k in range(1, 5):
-            spread[:, :k, :, k] = steps[:-1, None, :, k]
+        tot = _spread(steps)
         after = tot[1:rows + 1]  # the totals after each row
+        if off is not None:
+            off = _spread(off)[1:rows + 1]
 
         def released(at, cubes):
             """Per-slot statistics after row(s) ``at`` of the cubes ``cubes`` selects."""

@@ -39,6 +39,14 @@ BAD_VALUE_DOCS = [
     {"env": {"kind": "linear", "noise_half_width": -0.1}},
     {"env": {"kind": "linear", "noise_half_width": float("nan")}},
     {"env": {"kind": "linear", "d": 3}},
+    # an env's name is its kind's, never a constructor argument
+    {"env": {"kind": "linear", "name": "lin,ear"}},
+    {"env": {"kind": "linear", "name": 5}},
+    {"env": {"kind": "adversarial", "name": "adv"}},
+    {"eps": [True]},
+    # a cube count beyond the index space is refused before any run
+    {"policy": {"J": 10**31}},
+    {"policy": {"kind": "cppq", "J": 10**400}},
 ]
 
 

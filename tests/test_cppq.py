@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from engine_twins import PlayPreamble, assert_same_state, cut_shapes, dense_cut_flags, play_twins
-from privbandit import CppqConfig, CppqPolicy, LinearDemandEnv, LppqPolicy, make_env
-from privbandit.partition import LEFT_CUT, PRESETS, RIGHT_CUT, SENSITIVITY_CORRECT, UNIT_SCALE
+from privbandit import CppqConfig, CppqPolicy, LinearDemandEnv, make_env
+from privbandit.partition import (LEFT_CUT, PRESETS, RIGHT_CUT, SENSITIVITY_CORRECT, UNIT_SCALE,
+                                  Quadrisection)
 from privbandit.prng import derive_stream, laplace_from_uniform
 
 
 ENV = LinearDemandEnv()
-BLOCK = CppqPolicy.BLOCK
+BLOCK = Quadrisection.BLOCK
 
 
 def make_policy(T=100, eps=math.inf, c1=1e-6, c1_prime=1e-6, c2=2.0, J=1,
@@ -372,7 +373,7 @@ class TestPlay(PlayPreamble):
     def test_one_cube_with_ten_tree_levels_cutting(self, kind, eps):
         # the stacked offsets of a width-1 aggregator, summed pairwise, through
         # cuts and a partial last block whose slots take different counts
-        T = 10 * BLOCK + 3
+        T = 4 * BLOCK + 3
         loop, engine = play_twins(ENV, T, kind, eps, seed=4, J=1, overrides=ZERO)
         assert loop[0]._reward_agg[0].L + 1 == 10
         assert loop[0].shrink_count[0] > 0
@@ -383,7 +384,7 @@ class TestPlay(PlayPreamble):
         # between two of its visits, and on a block's last row
         T = 10 * BLOCK + 37
         log = {}
-        loop, engine = play_twins(ENV, T, "cppq", 0.01, seed=1, J=100, overrides=ZERO, log=log)
+        loop, engine = play_twins(ENV, T, "cppq", 0.01, seed=3, J=100, overrides=ZERO, log=log)
         longest, last_row = cut_shapes(log, BLOCK)
         assert longest >= 3 and last_row >= 1
         assert_same_state(loop, engine)
@@ -391,7 +392,7 @@ class TestPlay(PlayPreamble):
     @pytest.mark.parametrize("kind, eps", [("cppq", 1.0), ("nonprivate", math.inf)])
     @pytest.mark.parametrize("T", [4, BLOCK + 1, 1003])
     def test_horizon_not_a_multiple_of_the_block(self, kind, eps, T):
-        assert T % BLOCK and T % LppqPolicy.BLOCK
+        assert T % BLOCK
         loop, engine = play_twins(ENV, T, kind, eps, seed=9, J=9, overrides=ZERO)
         assert_same_state(loop, engine)
 
@@ -411,7 +412,7 @@ class TestPlay(PlayPreamble):
     @pytest.mark.parametrize("T, J, seed, last_row", [
         (4 * BLOCK + 37, 16, 1, 0),  # several blocks and cubes
         (10 * BLOCK + 3, 1, 2, 0),  # J = 1: every row is a visit
-        (1003, 9, 1, 2)])  # two cuts on a block's last row
+        (1003, 16, 24, 2)])  # two cuts on a block's last row
     def test_noise_free_checks_at_visit_rows(self, T, J, seed, last_row):
         # with the noise off the engine checks each row's own cube only; c2 = 3 keeps a
         # side's count gate shut until each of its slots has three visits

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engine_twins import PlayPreamble, assert_same_state, cut_shapes, play_twins
-from privbandit import CppqPolicy, LinearDemandEnv, LppqConfig, LppqPolicy, make_env
-from privbandit.partition import LEFT_CUT, PRESETS, RIGHT_CUT, SENSITIVITY_CORRECT, UNIT_SCALE
+from privbandit import LinearDemandEnv, LppqConfig, LppqPolicy, make_env
+from privbandit.partition import (LEFT_CUT, PRESETS, RIGHT_CUT, SENSITIVITY_CORRECT, UNIT_SCALE,
+                                  Quadrisection)
 from privbandit.prng import derive_stream
 
 
 ENV = LinearDemandEnv()
-BLOCK = LppqPolicy.BLOCK
+BLOCK = Quadrisection.BLOCK
 
 
 def make_policy(T=100, eps=math.inf, kappa1=1e-6, kappa2=10.0, J=1, seed=0, **kw):
@@ -233,7 +234,7 @@ class TestPlay(PlayPreamble):
     def test_bursts_of_cuts_and_last_row_cuts(self):
         # with kappa1 = kappa2 = 0 any rise or fall cuts: cubes cut again and
         # again between two of their visits, and on a block's last row
-        T = 3 * BLOCK + 77  # a partial last block, for either block size
+        T = 3 * BLOCK + 77  # a partial last block
         log = {}
         loop, engine = play_twins(ENV, T, "lppq", 1.0, seed=0, J=64, log=log,
                                   overrides=(("kappa1", 0.0), ("kappa2", 0.0)))
@@ -243,7 +244,7 @@ class TestPlay(PlayPreamble):
 
     @pytest.mark.parametrize("T", [4, BLOCK - 1, BLOCK + 1, 1003])
     def test_horizon_not_a_multiple_of_the_block(self, T):
-        assert T % CppqPolicy.BLOCK and T % BLOCK
+        assert T % BLOCK
         loop, engine = play_twins(ENV, T, "lppq", 1.0, seed=9, J=9)
         assert_same_state(loop, engine)
 

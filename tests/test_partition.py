@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import privbandit
 from privbandit import PriceGrid, build_partition, cube_index, phase_index
 from privbandit.partition import (LEFT_CUT, RIGHT_CUT, HorizonConfig, Quadrisection, ShrinkEvent,
-                                  _quartiles, cube_index_many)
+                                  _quartiles, _spread, cube_index_many)
 from privbandit.prng import derive_stream
 
 
@@ -63,6 +66,8 @@ class TestBuildPartition:
             build_partition(2, 0)
         with pytest.raises(ValueError):
             build_partition(1, 2**63)
+        with pytest.raises(ValueError):  # refused before the float root can overflow
+            build_partition(2, 10**400)
 
 
 class TestCubeIndex:
@@ -237,3 +242,31 @@ class TestQuadrisection:
                 assert abs(grid.rho[0] - ref[j].rho[0]) <= tol
                 assert abs(grid.rho[4] - ref[j].rho[4]) <= tol
         np.testing.assert_array_equal(quad.shrink_count, [g.epoch - 1 for g in ref])
+
+
+def subclasses(cls) -> set:
+    return {s for c in cls.__subclasses__() for s in (c, *subclasses(c))}
+
+
+class TestBlock:
+    def test_spread_follows_the_slot_schedule(self):
+        # after block row r, slot k holds group (r - k) // 5 + 1's value, at every
+        # row count a block can have, partial last groups included
+        rng = np.random.default_rng(0)
+        for rows in range(1, Quadrisection.BLOCK + 1):
+            groups = (rows + 4) // 5
+            g = rng.normal(size=(groups + 1, 2, 5, 3))
+            out = _spread(g)
+            assert out.shape == (5 * groups + 1, 2, 5, 3)
+            np.testing.assert_array_equal(out[0], g[0])
+            r, k = np.arange(rows)[:, None], np.arange(5)
+            np.testing.assert_array_equal(out[1:rows + 1][r, :, k], g[(r - k) // 5 + 1, :, k])
+
+    def test_one_block_for_every_policy(self):
+        # row r of a block has slot r % 5, and the engine alone sets the block size
+        assert Quadrisection.BLOCK % 5 == 0
+        for mod in pkgutil.iter_modules(privbandit.__path__):
+            importlib.import_module(f"privbandit.{mod.name}")
+        ours = {c for c in subclasses(Quadrisection) if c.__module__.startswith("privbandit.")}
+        assert {c.__name__ for c in ours} >= {"CppqPolicy", "LppqPolicy"}
+        assert not [c for c in ours if "BLOCK" in vars(c)]
