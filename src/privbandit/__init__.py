@@ -10,7 +10,7 @@ the reference percentage-regret tables and scaling-law plots.
 """
 
 from .cppq import CppqConfig, CppqPolicy
-from .env import AdversarialEnv, DemandEnvironment, LinearDemandEnv, boundary_distance
+from .env import AdversarialEnv, DemandEnvironment, LinearDemandEnv
 from .harness import (AggregateResult, PolicySpec, RunRecord, fit_loglog_slope,
                       make_env, percentage_regret, replicate, run_episode, run_one)
 from .lppq import LppqConfig, LppqPolicy
@@ -24,7 +24,7 @@ __all__ = [
     "AdversarialEnv", "AggregateResult", "CapacityError", "CppqConfig", "CppqPolicy",
     "DemandEnvironment", "HypercubePartition", "LinearDemandEnv", "LppqConfig",
     "LppqPolicy", "PolicySpec", "PriceGrid", "RngStream", "RunRecord", "TreeAggregator",
-    "boundary_distance", "build_partition", "cube_index",
+    "build_partition", "cube_index",
     "derive_stream", "fit_loglog_slope", "laplace_from_uniform",
     "make_env", "percentage_regret", "phase_index", "replicate", "run_episode", "run_one",
 ]

@@ -223,23 +223,26 @@ def write_summary(aggregates, path: str):
 
 
 def format_table(aggregates, T_list) -> str:
-    """Rows: Non-Private then descending eps; columns: the T grid."""
+    """Rows: Non-Private then descending eps; columns: the T grid.
+
+    The non-private baseline is the only ``Non-Private`` row: a private
+    policy's eps=inf cells get their own row, labelled by policy.
+    """
     rows = {}
     for a in aggregates:
-        key = "Non-Private" if math.isinf(a.eps) else f"eps={_fmt(a.eps)}"
+        if a.policy == NONPRIVATE:
+            key = (0, 0.0, "Non-Private")
+        else:
+            label = f"eps={_fmt(a.eps)}"
+            key = (1, -a.eps, f"{a.policy} {label}" if math.isinf(a.eps) else label)
         rows.setdefault(key, {})[a.T] = a.mean_pct_regret
-
-    def row_order(key):
-        if key == "Non-Private":
-            return (0, 0.0)
-        return (1, -float(key.split("=")[1]))
 
     width = 12
     header = "".ljust(14) + "".join(f"T={T}".rjust(width) for T in T_list)
     lines = [header]
-    for key in sorted(rows, key=row_order):
+    for key in sorted(rows):
         cells = "".join(f"{rows[key].get(T, float('nan')):{width}.2f}" for T in T_list)
-        lines.append(key.ljust(14) + cells)
+        lines.append(key[2].ljust(14) + cells)
     return "\n".join(lines)
 
 

@@ -18,11 +18,13 @@ row retirement requires.
 
 Episodes run through the block engine :meth:`Quadrisection.play`.  The
 tree noise does not depend on the data, so the ten aggregators release a
-block's noise offsets up front (:func:`tree_agg.noise_offsets`, one
-Laplace transform for all ten).  Each slot ticks once per group of five
-periods, so this policy supplies one offset per group, with the exact
-totals, adds each visit's count, and owns the cut rule; the engine owns
-the block size and spreads groups to periods.  The engine makes
+block's noise offsets up front (:func:`tree_agg.noise_offsets`: one
+Laplace transform, one gather and one level sum for all ten, each row
+holding the ten side by side).  Each slot ticks once per group of five
+periods, so this policy supplies one offset per group, (groups+1, 2, 5,
+J), with the exact totals, adds each visit's count, and owns the cut
+rule; the engine owns the block size, adds the offsets per group and
+spreads groups to periods.  The engine makes
 the same releases from the same draws, so the central-DP statement is
 unchanged; the per-period ``choose_price``/``update`` path stays the online
 API and the reference the engine is tested against.
@@ -151,13 +153,14 @@ class CppqPolicy(Quadrisection):
         Row r counts 1 in its cube's statistic 1; its revenue comes with the
         post.  Slot k's aggregators tick on rows k, k+5, ...: ``counts[k]``
         times, once per group of five rows but for a partial last group.
-        Group g's offsets are row g of :func:`noise_offsets`, viewed as
-        (groups+1, 2, 5, J); the engine spreads them to rows.
+        Group g's offsets are row g of :func:`noise_offsets`, whose rows hold
+        the ten aggregators side by side, reward slots then count slots: a
+        reshape to (groups+1, 2, 5, J) needs no transpose.
         """
         J, rows = self.J, len(block_js)
         inc = np.zeros((rows, self.S, J))
         inc[np.arange(rows), 1, block_js] = 1.0
         counts = [(rows - k + 4) // 5 for k in range(5)]
         stacked = noise_offsets(self._reward_agg + self._count_agg, counts * 2)
-        off = None if stacked is None else stacked.reshape(2, 5, -1, J).transpose(2, 0, 1, 3)
+        off = None if stacked is None else stacked.reshape(-1, self.S, 5, J)
         return self._totals, inc, off

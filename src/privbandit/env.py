@@ -154,21 +154,13 @@ class LinearDemandEnv(DemandEnvironment):
         return demand
 
 
-def boundary_distance(part: HypercubePartition, x):
-    """Euclidean distance from x to the boundary of its containing cube.
-
-    For a point inside an axis-aligned box this is the smallest per-axis
-    face distance; it is 0 on the boundary.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails too
-        raise ValueError("context coordinates must lie in [0,1]")
-    dist = boundary_distance_many(part, x)
-    return float(dist) if x.ndim == 1 else dist
-
-
 def boundary_distance_many(part: HypercubePartition, X: np.ndarray) -> np.ndarray:
-    """boundary_distance over the last axis of X, without the domain check."""
+    """Euclidean distance from each point to the boundary of its containing cube.
+
+    Over the last axis of X.  For a point inside an axis-aligned box this is
+    the smallest per-axis face distance; it is 0 on the boundary.  X is not
+    checked against the domain.
+    """
     X = np.asarray(X, dtype=float)
     m, h = part.m, part.h
     digits = np.minimum((X * m).astype(np.int64), m - 1)

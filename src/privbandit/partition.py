@@ -288,7 +288,14 @@ class Quadrisection:
         adds to slot r % 5 only, so one in-place cumsum over the (groups+1,
         S, 5, J) increments of each group of five rows, whose row 0 holds
         the carried totals, repeats the loop's additions.  :func:`_spread`
-        takes the totals, and the offsets, from groups to rows.
+        takes the totals from groups to rows.  The offsets, like the
+        totals, change once per group, so the dense check adds them and
+        subtracts ``_snap`` per group and spreads the result once: the same
+        additions and subtractions on the same values as per row.  Offsets
+        are spread to rows only for the cube a replay plays, and the
+        block's final ``_sums`` take the last row's offsets from the last
+        two groups: the slots the last group reached from its row, the
+        others from the one before.
 
         The cut rule is then evaluated at every row and cube, except in a
         block without noise offsets whose rule does not read n
@@ -313,13 +320,6 @@ class Quadrisection:
         np.cumsum(steps, axis=0, out=steps)
         tot = _spread(steps)
         after = tot[1:rows + 1]  # the totals after each row
-        if off is not None:
-            off = _spread(off)[1:rows + 1]
-
-        def released(at, cubes):
-            """Per-slot statistics after row(s) ``at`` of the cubes ``cubes`` selects."""
-            s = after[at, ..., cubes]
-            return s if off is None else s + off[at, ..., cubes]
 
         def replay(j, at, left):
             """Cut cube j at row ``at``, then play its rest of the block.
@@ -332,8 +332,15 @@ class Quadrisection:
             period, so row a + i lies n = i + 1 periods after it.
             """
             visits = (block_js == j).nonzero()[0]
+            noise = None if off is None else _spread(off[..., j])[1:rows + 1]
+
+            def released(at):
+                """Cube j's per-slot statistics after row(s) ``at``."""
+                s = after[at, ..., j]
+                return s if noise is None else s + noise[at]
+
             while True:
-                self._sums[..., j] = released(at, j)  # _cut restarts the statistics here
+                self._sums[..., j] = released(at)  # _cut restarts the statistics here
                 self._cut(j, left, b0 + at + 1)
                 a = at + 1
                 if a == rows:
@@ -348,7 +355,7 @@ class Quadrisection:
                     tot[later + 1, 0, slot[later], j] += self._post(
                         later, self._lo[j], self._hi[j], b0, demand, prices)
                     np.cumsum(col, axis=0, out=col)
-                since = released(slice(a, None), j) - self._snap[..., j]
+                since = released(slice(a, None)) - self._snap[..., j]
                 lefts, rights = self._cut_flags(np.ascontiguousarray(since.transpose(1, 2, 0)),
                                                 row_after[:rows - a])
                 fired = lefts | rights
@@ -360,14 +367,18 @@ class Quadrisection:
         if off is None and not self.RULE_READS_N:
             # without noise a cube's statistics move only at its visits, and so does a
             # rule blind to n: check each row's own cube, (S, 5, rows)
-            since = released(r, block_js).transpose(1, 2, 0) - self._snap[..., block_js]
+            since = after[r, ..., block_js].transpose(1, 2, 0) - self._snap[..., block_js]
             left, right = self._cut_flags(since, b0 + row_after - self._pointer[block_js])
             fired = np.flatnonzero(left | right)
             cubes, first = np.unique(block_js[fired], return_index=True)
             for j, at in zip(cubes, fired[first]):
                 replay(j, int(at), left[at])
         else:
-            since = released(slice(None), slice(None)) - self._snap
+            if off is None:
+                since = after - self._snap
+            else:
+                # offsets and totals change once per group: add and subtract there, then spread
+                since = _spread(steps + off - self._snap)[1:rows + 1]
             left, right = self._cut_flags(since.transpose(1, 2, 0, 3),
                                           (b0 + row_after)[:, None] - self._pointer)
             fired = left | right
@@ -375,7 +386,12 @@ class Quadrisection:
                 at = int(fired[:, j].argmax())
                 replay(j, at, left[at, j])
         totals[:] = tot[rows]
-        self._sums[:] = released(rows - 1, slice(None))
+        if off is None:
+            self._sums[:] = totals
+        else:
+            # after the last row, the slots its group reached hold the last group's offsets
+            reached = np.arange(5)[:, None] <= (rows - 1) % 5
+            self._sums[:] = totals + np.where(reached, off[-1], off[-2])
 
     def _post(self, r: np.ndarray, lo, hi, b0: int, demand, prices: np.ndarray) -> np.ndarray:
         """Post at block rows r from the intervals [lo, hi]; returns each p*y.

@@ -96,21 +96,29 @@ def noise_offsets(aggs: list, counts: list) -> np.ndarray | None:
     """Noise offsets of the next ``counts[a]`` releases of each aggregator ``aggs[a]``.
 
     The aggregators must share n, L, width and whether noise is on.  Row i
-    of ``result[a]`` (shape (max(counts)+1, width)) is the offset update
-    n+i adds to aggregator a's running sum, row 0 the one now; rows past
-    ``counts[a]`` are unused.  Afterwards each ``n`` and ``noise`` is as
-    ``counts[a]`` updates leave it; ``total`` is the caller's.  Each
-    aggregator's uniforms come from one (counts[a], width) draw of its own
-    stream, and the drawn rows of all of them, and only those, go through
-    one Laplace transform at each row's own scale: elementwise, so each
-    stream's rows have the bits of ``counts[a]`` Laplace draws of one row.
-    One index table and one gather serve all aggregators.  Each offset is
-    one reduction over all L+1 levels, as in ``update``: for width 1 numpy
-    sums eight or more levels pairwise, so adding them one at a time would
-    not give the same bits.  Every offset is summed, also where no cut rule
-    reads it: cppq's rule reads revenue offsets only where its count gate
-    opens, but summing only those measured no faster.  With noise off there
-    are no offsets and the result is None.
+    of ``result[:, a]`` (shape (max(counts)+1, len(aggs), width)) is the
+    offset update n+i adds to aggregator a's running sum, row 0 the one
+    now; rows past ``counts[a]`` are unused.  Afterwards each ``n`` and
+    ``noise`` is as ``counts[a]`` updates leave it; ``total`` is the
+    caller's.  Each aggregator's uniforms come from one (counts[a], width)
+    draw of its own stream, and the drawn rows of all of them, and only
+    those, go through one Laplace transform at each row's own scale:
+    elementwise, so each stream's rows have the bits of ``counts[a]``
+    Laplace draws of one row.
+
+    The noise table is row-major, (L+2+max(counts), len(aggs), width):
+    each row holds one level row of every aggregator side by side, so one
+    gather with one (max(counts)+1, L+1) index serves all of them and
+    copies whole rows.  Each offset is one reduction over all L+1 levels,
+    as in ``update``.  For width >= 2 numpy adds the levels of either one
+    at a time, 0 to L, in the same order.  For width 1 ``update`` sums its
+    one column's levels pairwise (from eight levels on), which a reduction
+    over a non-innermost axis would not repeat; there the levels are moved
+    innermost before the sum, so numpy sums them pairwise too.  Every
+    offset is summed, also where no cut rule reads it: cppq's rule reads
+    revenue offsets only where its count gate opens, but summing only those
+    measured no faster.  With noise off there are no offsets and the
+    result is None.
     """
     first = aggs[0]
     n0, L1, width = first.n, first.L + 1, first.width
@@ -129,17 +137,17 @@ def noise_offsets(aggs: list, counts: list) -> np.ndarray | None:
     # level l after update m holds the row drawn at update (m >> l) << l if bit l is set
     src = high << levels
     # table rows: the carried levels, a zero row, then the rows of updates n0+1..n0+top
-    table = np.zeros((len(aggs), L1 + 1 + top, width))
-    for a, rows in zip(aggs, table):
-        rows[:L1] = a.noise
+    table = np.zeros((L1 + 1 + top, len(aggs), width))
+    for k, a in enumerate(aggs):
+        table[:L1, k] = a.noise
     # the drawn rows only, in aggregator order, through one transform; unused rows stay zero
     drawn = np.arange(top) < np.array(counts)[:, None]
     u = np.concatenate([a._stream.unit((cnt, width)) for a, cnt in zip(aggs, counts)])
     scale = np.repeat([a.noise_scale for a in aggs], counts)[:, None]
-    table[:, L1 + 1:][drawn] = laplace_from_uniform(u, scale)
-    # all-advanced indexing keeps the result C-ordered, so each level sum runs as in update
-    gathered = table[np.arange(len(aggs))[:, None, None],
-                     np.where(high & 1, np.where(src > n0, L1 + src - n0, levels), L1)]
-    for a, cnt, rows in zip(aggs, counts, gathered):
-        a.noise[:] = rows[cnt]
-    return gathered.sum(axis=2)
+    table[L1 + 1:].transpose(1, 0, 2)[drawn] = laplace_from_uniform(u, scale)
+    gathered = table[np.where(high & 1, np.where(src > n0, L1 + src - n0, levels), L1)]
+    for k, (a, cnt) in enumerate(zip(aggs, counts)):
+        a.noise[:] = gathered[cnt, :, k]
+    if width == 1:
+        return np.ascontiguousarray(gathered.transpose(0, 2, 3, 1)).sum(axis=3)
+    return gathered.sum(axis=1)

@@ -18,9 +18,9 @@ import pytest
 from privbandit import (CppqConfig, CppqPolicy, LinearDemandEnv, PolicySpec,
                         TreeAggregator, make_env, replicate)
 from privbandit.cli import privacy_check
-from privbandit.env import boundary_distance
 from privbandit.harness import NONPRIVATE, fit_loglog_slope
 from privbandit.prng import derive_stream
+from test_env import boundary_distance
 
 T_GRID = (500, 2500, 12500, 62500)
 EPS_GRID = (10.0, 1.0, 0.1, 0.01)

@@ -127,6 +127,23 @@ class TestSimulate:
         table = capsys.readouterr().out
         assert "eps=1" in table and "eps=0.1" in table
 
+    def test_private_inf_cells_keep_their_own_row(self, tmp_path, capsys):
+        # lppq at eps=inf beside the non-private baseline: each keeps its own row
+        doc = {"policy": {"kind": "lppq"}, "include_nonprivate": True, "eps": ["inf", 1.0],
+               "T": [500], "reps": 2}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        printed = {line[:14].rstrip(): float(line[14:]) for line in lines[1:]}
+        summary = json.loads((out / "summary.json").read_text())
+        label = {("nonprivate", "inf"): "Non-Private", ("lppq", "inf"): "lppq eps=inf",
+                 ("lppq", 1.0): "eps=1"}
+        assert printed == {label[s["policy"], s["eps"]]: round(s["mean_pct_regret"], 2)
+                           for s in summary}
+        assert list(printed) == ["Non-Private", "lppq eps=inf", "eps=1"]
+
     def test_reruns_are_byte_identical(self, small_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["simulate", "--config", str(small_config), "--out", str(out1)])

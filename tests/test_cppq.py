@@ -396,6 +396,20 @@ class TestPlay(PlayPreamble):
         loop, engine = play_twins(ENV, T, kind, eps, seed=9, J=9, overrides=ZERO)
         assert_same_state(loop, engine)
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_partial_last_group_with_noise(self, r):
+        # the last block ends r rows into a group: slots below r take the last group's
+        # offsets in the final _sums, the others keep the group before.  At the
+        # benchmark's J and eps, seed 21 cuts a cube inside that partial group, whose
+        # replay spreads its own offsets to rows.  A reached slot ticks to 2 * 40 + 30,
+        # an even count, so the unused offset row an unreached slot must not read
+        # retires level 0 and differs from the offset it holds
+        T = 2 * BLOCK + 5 * 29 + r
+        log = {}
+        loop, engine = play_twins(ENV, T, "cppq", 1.0, seed=21, J=49, overrides=ZERO, log=log)
+        assert any(e.t > T - r for e in log["events"])
+        assert_same_state(loop, engine)
+
     @pytest.mark.parametrize("env, kind, eps, J", [
         ("linear", "cppq", 1.0, 49), ("linear", "cppq", 0.1, 4),
         ("linear", "nonprivate", math.inf, 16),

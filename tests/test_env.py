@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from privbandit import AdversarialEnv, LinearDemandEnv, boundary_distance
+from privbandit import AdversarialEnv, LinearDemandEnv
 from privbandit.env import DemandEnvironment, boundary_distance_many
 from privbandit.partition import HypercubePartition, build_partition
 from privbandit.prng import RngStream, derive_stream
@@ -79,6 +79,20 @@ class TestLinearDemand:
         # a big intercept pushes the unconstrained optimum past p_hi
         with pytest.raises(ValueError):
             LinearDemandEnv(theta=(4.0, 0.6, 0.6, -0.2))
+
+
+def boundary_distance(part, x):
+    """Distance from one point x to the boundary of its containing cube, checked.
+
+    The scalar form of ``boundary_distance_many``, face by face in Python floats.
+    """
+    if not all(0.0 <= c <= 1.0 for c in x):  # NaN fails too
+        raise ValueError("context coordinates must lie in [0,1]")
+    faces = []
+    for c in x:
+        lo = min(int(c * part.m), part.m - 1) * part.h
+        faces += [c - lo, lo + part.h - c]
+    return min(faces)
 
 
 class TestBoundaryDistance:

@@ -204,9 +204,9 @@ class TestNoiseOffsets:
         counts = [top, top - 1, top - 4]
         pairs = self.twins(capacity, width, n0, sensitivities=(2.0, 2.0, 7.0))
         off = noise_offsets([bulk for _, bulk in pairs], counts)
-        assert off.shape == (3, top + 1, width)
+        assert off.shape == (top + 1, 3, width)
         us = derive_stream(3, "signal").uniform(-1, 1, size=(top, width))
-        for (loop, bulk), cnt, rows in zip(pairs, counts, off):
+        for (loop, bulk), cnt, rows in zip(pairs, counts, off.transpose(1, 0, 2)):
             np.testing.assert_array_equal(loop.total + rows[0],
                                           loop.total + loop.noise.sum(axis=0))
             for i, u in enumerate(us[:cnt], start=1):
@@ -217,12 +217,31 @@ class TestNoiseOffsets:
             np.testing.assert_array_equal(bulk.noise, loop.noise)
             assert bulk._stream.unit() == loop._stream.unit()
 
+    @pytest.mark.parametrize("width", [1, 49])
+    def test_benchmark_shape(self, width):
+        # cppq's ten aggregators at T = 62500 (16 levels) in a block of 197 rows
+        # from n0 = 4090, so the block crosses the level-12 carry at 4096
+        n0, counts = 4090, [40, 40, 39, 39, 39] * 2
+        pairs = self.twins(62500, width, n0, sensitivities=(2.0,) * 5 + (7.0,) * 5)
+        assert pairs[0][0].L + 1 == 16
+        off = noise_offsets([bulk for _, bulk in pairs], counts)
+        assert off.shape == (41, 10, width)
+        us = derive_stream(3, "signal").uniform(-1, 1, size=(40, width))
+        for a, ((loop, bulk), cnt) in enumerate(zip(pairs, counts)):
+            for i, u in enumerate(us[:cnt], start=1):
+                released = np.atleast_1d(loop.update(u))
+                # bit for bit: the level sum update adds to the running sum
+                np.testing.assert_array_equal(off[i, a], loop.noise.sum(axis=0))
+                np.testing.assert_array_equal(loop.total + off[i, a], released)
+            np.testing.assert_array_equal(bulk.noise, loop.noise)
+            assert bulk._stream.unit() == loop._stream.unit()
+
     def test_zero_signal_offsets_equal_releases(self):
         # ten level counts at width 1, where numpy sums the levels pairwise
         stack = [TreeAggregator(1.0, 640, derive_stream(3, f"agg/{k}")) for k in range(2)]
         loops = [TreeAggregator(1.0, 640, derive_stream(3, f"agg/{k}")) for k in range(2)]
         off = noise_offsets(stack, [640, 637])
-        for loop, rows, cnt in zip(loops, off, [640, 637]):
+        for loop, rows, cnt in zip(loops, off.transpose(1, 0, 2), [640, 637]):
             np.testing.assert_array_equal(rows[1:cnt + 1, 0], [loop.update(0.0) for _ in range(cnt)])
 
     def test_transforms_only_the_drawn_rows(self, monkeypatch):
