@@ -303,8 +303,11 @@ def _run_experiment(args, doc, out_dir, names):
     if out_dir is not None:
         try:
             os.makedirs(out_dir, exist_ok=True)
-            write_csv(records, os.path.join(out_dir, names[0]))
-            write_summary(aggregates, os.path.join(out_dir, names[1]))
+            paths = [os.path.join(out_dir, name) for name in names]
+            for path in filter(os.path.lexists, paths):  # truncating may wait on writeback
+                os.remove(path)
+            write_csv(records, paths[0])
+            write_summary(aggregates, paths[1])
         except OSError as exc:
             raise OSError(f"cannot write output: {exc}") from None
     return cfg, aggregates

@@ -189,6 +189,17 @@ def _spread(g: np.ndarray) -> np.ndarray:
     return out
 
 
+def _add_rows(steps: np.ndarray):
+    """``np.cumsum(steps, axis=0, out=steps)`` by in-place row adds: the same additions."""
+    for g in range(1, len(steps)):
+        steps[g] += steps[g - 1]
+
+
+def _own_cubes(g: np.ndarray, js: np.ndarray, sched: np.ndarray) -> np.ndarray:
+    """``_spread(g)[r + 1, ..., js[r]]`` at rows r as (S, 5, rows); sched is (r - k) // 5 + 1."""
+    return g[sched, :, np.arange(5), js[:, None]].transpose(2, 1, 0)
+
+
 class Quadrisection:
     """Per-cube price intervals of the parallel quadrisection search.
 
@@ -268,8 +279,8 @@ class Quadrisection:
             raise ValueError(f"cube indices must lie in [0, {self.J})")
         prices = np.empty(T)
         r = np.arange(min(self.BLOCK, T))
-        # of each block row: its index, the totals' row after it, its slot, its group's step
-        rows_index = (r, r + 1, r % 5, r // 5 + 1)
+        # of each block row: its index, the totals' row after it, its slot, each slot's group then
+        rows_index = (r, r + 1, r % 5, (r[:, None] - np.arange(5)) // 5 + 1)
         for b0 in range(0, T, self.BLOCK):
             self._play_block(b0, [a[:T - b0] for a in rows_index], js, demand, prices)
         self._expected_t = T + 1
@@ -277,7 +288,7 @@ class Quadrisection:
 
     def _play_block(self, b0: int, rows_index: list, js: np.ndarray, demand,
                     prices: np.ndarray):
-        """Play periods b0+1..b0+rows; ``rows_index`` holds r, r + 1, r % 5 and r // 5 + 1.
+        """Play periods b0+1..b0+rows; ``rows_index`` holds r, r + 1, r % 5 and (r - k) // 5 + 1.
 
         ``_block_inputs(block_js)`` gives the policy's exact running totals
         (S, 5, J), which the block advances in place, the price-free
@@ -285,17 +296,16 @@ class Quadrisection:
         noise offsets a release adds to the totals after each group of five
         rows (groups+1, S, 5, J), row 0 the one now, or None.  Every visit
         is posted at the block-start prices with one demand call.  Row r
-        adds to slot r % 5 only, so one in-place cumsum over the (groups+1,
-        S, 5, J) increments of each group of five rows, whose row 0 holds
-        the carried totals, repeats the loop's additions.  :func:`_spread`
-        takes the totals from groups to rows.  The offsets, like the
-        totals, change once per group, so the dense check adds them and
-        subtracts ``_snap`` per group and spreads the result once: the same
-        additions and subtractions on the same values as per row.  Offsets
-        are spread to rows only for the cube a replay plays, and the
-        block's final ``_sums`` take the last row's offsets from the last
-        two groups: the slots the last group reached from its row, the
-        others from the one before.
+        adds to slot r % 5 only, so running sums over the (groups+1, S, 5,
+        J) increments of each group of five rows, whose row 0 holds the
+        carried totals, repeat the loop's additions.  Totals stay per group:
+        they and the offsets change once per group, so the dense check adds
+        and subtracts ``_snap`` there and :func:`_spread` takes the result
+        to rows once, the same operations on the same values as per row.
+        The noise-free check gathers each row's own cube from the groups,
+        and a replay spreads only its cube's column.  The last group ends
+        with the block's final totals and offsets (slots its last row did
+        not reach keep the group before's), a replayed cube with its own.
 
         The cut rule is then evaluated at every row and cube, except in a
         block without noise offsets whose rule does not read n
@@ -308,18 +318,26 @@ class Quadrisection:
         row finds.  Either way only the cubes that fired are replayed, by
         the one ``replay`` both share.
         """
-        r, row_after, slot, group = rows_index
+        r, row_after, slot, sched = rows_index
         rows = len(r)
         block_js = js[b0:b0 + rows]
         totals, inc, off = self._block_inputs(block_js)
         steps = np.zeros(((rows + 4) // 5 + 1,) + totals.shape)
         steps[0] = totals
-        steps[group, :, slot] = inc
-        steps[group, 0, slot, block_js] += self._post(
+        steps[sched[:, 0], :, slot] = inc
+        steps[sched[:, 0], 0, slot, block_js] += self._post(
             r, self._lo[block_js], self._hi[block_js], b0, demand, prices)
-        np.cumsum(steps, axis=0, out=steps)
-        tot = _spread(steps)
-        after = tot[1:rows + 1]  # the totals after each row
+        # numpy's cumsum over axis 0 walks one column at a time, ~0.1 us each, and a
+        # row add costs ~0.4 us per group row: wide groups add row by row
+        if steps[0].size > 4 * len(steps):
+            _add_rows(steps)
+        else:
+            np.cumsum(steps, axis=0, out=steps)
+        # slots past the last row's keep the group before's values, all _spread reads there
+        q = (rows - 1) % 5 + 1
+        if q < 5:
+            for a in (steps,) if off is None else (steps, off):
+                a[-1, :, q:] = a[-2, :, q:]
 
         def replay(j, at, left):
             """Cut cube j at row ``at``, then play its rest of the block.
@@ -332,11 +350,12 @@ class Quadrisection:
             period, so row a + i lies n = i + 1 periods after it.
             """
             visits = (block_js == j).nonzero()[0]
-            noise = None if off is None else _spread(off[..., j])[1:rows + 1]
+            col = _spread(steps[..., j])  # cube j's totals before and after each row
+            noise = None if off is None else _spread(off[..., j])[1:]
 
             def released(at):
                 """Cube j's per-slot statistics after row(s) ``at``."""
-                s = after[at, ..., j]
+                s = col[1:][at]
                 return s if noise is None else s + noise[at]
 
             while True:
@@ -344,54 +363,47 @@ class Quadrisection:
                 self._cut(j, left, b0 + at + 1)
                 a = at + 1
                 if a == rows:
-                    return
+                    break
                 later = visits[visits.searchsorted(a):]
                 if later.size:
                     # from the next visit v on: price-free increments, new posts, new sums
                     v = later[0]
-                    col = tot[v:rows + 1, ..., j]
-                    col[1:] = 0.0
-                    tot[row_after[v:], :, slot[v:], j] = inc[v:, :, j]
-                    tot[later + 1, 0, slot[later], j] += self._post(
+                    rest = col[v:rows + 1]
+                    rest[1:] = 0.0
+                    col[row_after[v:], :, slot[v:]] = inc[v:, :, j]
+                    col[later + 1, 0, slot[later]] += self._post(
                         later, self._lo[j], self._hi[j], b0, demand, prices)
-                    np.cumsum(col, axis=0, out=col)
-                since = released(slice(a, None)) - self._snap[..., j]
+                    np.cumsum(rest, axis=0, out=rest)
+                since = released(slice(a, rows)) - self._snap[..., j]
                 lefts, rights = self._cut_flags(np.ascontiguousarray(since.transpose(1, 2, 0)),
                                                 row_after[:rows - a])
                 fired = lefts | rights
                 f = fired.argmax()
                 if not fired[f]:
-                    return
+                    break
                 at, left = a + f, lefts[f]
+            steps[-1, ..., j] = col[rows]
 
         if off is None and not self.RULE_READS_N:
             # without noise a cube's statistics move only at its visits, and so does a
             # rule blind to n: check each row's own cube, (S, 5, rows)
-            since = after[r, ..., block_js].transpose(1, 2, 0) - self._snap[..., block_js]
+            since = _own_cubes(steps, block_js, sched) - self._snap[..., block_js]
             left, right = self._cut_flags(since, b0 + row_after - self._pointer[block_js])
             fired = np.flatnonzero(left | right)
             cubes, first = np.unique(block_js[fired], return_index=True)
             for j, at in zip(cubes, fired[first]):
                 replay(j, int(at), left[at])
         else:
-            if off is None:
-                since = after - self._snap
-            else:
-                # offsets and totals change once per group: add and subtract there, then spread
-                since = _spread(steps + off - self._snap)[1:rows + 1]
+            # offsets and totals change once per group: add and subtract there, then spread
+            since = _spread((steps if off is None else steps + off) - self._snap)[1:rows + 1]
             left, right = self._cut_flags(since.transpose(1, 2, 0, 3),
                                           (b0 + row_after)[:, None] - self._pointer)
             fired = left | right
             for j in np.flatnonzero(fired.any(axis=0)):
                 at = int(fired[:, j].argmax())
                 replay(j, at, left[at, j])
-        totals[:] = tot[rows]
-        if off is None:
-            self._sums[:] = totals
-        else:
-            # after the last row, the slots its group reached hold the last group's offsets
-            reached = np.arange(5)[:, None] <= (rows - 1) % 5
-            self._sums[:] = totals + np.where(reached, off[-1], off[-2])
+        totals[:] = steps[-1]
+        self._sums[:] = totals if off is None else totals + off[-1]
 
     def _post(self, r: np.ndarray, lo, hi, b0: int, demand, prices: np.ndarray) -> np.ndarray:
         """Post at block rows r from the intervals [lo, hi]; returns each p*y.

@@ -151,6 +151,18 @@ class TestSimulate:
         assert (out1 / "runs.csv").read_bytes() == (out2 / "runs.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
+    def test_rerun_into_one_out_replaces_its_outputs(self, small_config, tmp_path):
+        # the second run, with fewer reps, writes shorter files over the first run's
+        fewer = tmp_path / "fewer.json"
+        fewer.write_text(json.dumps({**json.loads(small_config.read_text()), "reps": 1}))
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        main(["simulate", "--config", str(small_config), "--out", str(out)])
+        main(["simulate", "--config", str(fewer), "--out", str(out)])
+        main(["simulate", "--config", str(fewer), "--out", str(fresh)])
+        for name in ("runs.csv", "summary.json"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        assert len((out / "runs.csv").read_text().splitlines()) == 1 + 2 * 2 * 1
+
     def test_parallel_jobs_match_serial(self, small_config, tmp_path):
         out1, out2 = tmp_path / "serial", tmp_path / "par"
         main(["simulate", "--config", str(small_config), "--out", str(out1), "--jobs", "1"])

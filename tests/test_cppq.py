@@ -410,6 +410,17 @@ class TestPlay(PlayPreamble):
         assert any(e.t > T - r for e in log["events"])
         assert_same_state(loop, engine)
 
+    @pytest.mark.parametrize("J", [16, 49])
+    def test_cut_then_visit_in_the_partial_last_block(self, J):
+        # the last block ends 2 rows into a group, and a cube that cuts in it is
+        # visited again: its final totals are its replayed column's, not the groups'
+        T = 2 * BLOCK + 77
+        log = {}
+        loop, engine = play_twins(ENV, T, "nonprivate", math.inf, seed=0, J=J, log=log)
+        js = log["js"]
+        assert any(e.t > 2 * BLOCK and (js[e.t:] == e.cube).any() for e in log["events"])
+        assert_same_state(loop, engine)
+
     @pytest.mark.parametrize("env, kind, eps, J", [
         ("linear", "cppq", 1.0, 49), ("linear", "cppq", 0.1, 4),
         ("linear", "nonprivate", math.inf, 16),

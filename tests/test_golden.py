@@ -8,14 +8,21 @@ demand noise) and adversarial environments; both presets and overrides;
 unit-scale and sensitivity-correct noise; and eps from 10 down to 0.01 and
 inf.  A refactor that claims identical results must keep every digest; a
 change that means to alter results must say so and record new digests.
+``ENGINE_STATE`` does the same for the policy state ``play`` leaves behind
+at the engine's widest shapes.
 """
 
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
+from privbandit import LinearDemandEnv, PolicySpec
 from privbandit.cli import main
+from privbandit.partition import cube_index_many
+from privbandit.prng import derive_stream
 
 GOLDEN = {
     # the byte-identity config of acceptance criterion 9
@@ -65,3 +72,28 @@ def test_runs_csv_matches_golden_digest(name, tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     data = (tmp_path / "out" / "runs.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# engine state after one bulk episode at the widest group rows the engine meets:
+# (groups+1, S, 5, J) with S * 5 * J = 490 columns (cppq, non-private at J=49) and
+# 320 columns (lppq at J=64); the runs.csv configs above stay at 160 or fewer
+ENGINE_STATE = {
+    ("nonprivate", math.inf, 49): "b59f86af1c53b2d91f586e44a12a0ecbb664ec6f4912f681abc72c2308643f1c",
+    ("cppq", 1.0, 49): "c5708fe589e3bb61d2835092f10fbb5b457f07358323df0276e9b67093bab868",
+    ("lppq", 10.0, 64): "ea955fe1870aba843c2b0ea6ab856f2038b13233c69b255ef5a117451de055fd",
+}
+STATE = ("_lo", "_hi", "_epoch", "_pointer", "shrink_count", "_sums", "_snap")
+
+
+@pytest.mark.parametrize("kind, eps, J", sorted(ENGINE_STATE, key=str))
+def test_engine_state_matches_golden_digest(kind, eps, J):
+    T, env = 5003, LinearDemandEnv()
+    stream = derive_stream(20240001, "rep/0")
+    pol = PolicySpec(kind=kind, eps=eps, J_request=J).build_policy(T, env, stream.child("policy"))
+    assert pol.J == J
+    X = env.sample_context(stream.child("context"), size=T)
+    h = hashlib.sha256(pol.play(cube_index_many(pol.part, X),
+                                env.episode_demand(stream.child("demand"), X)).tobytes())
+    for name in STATE:
+        h.update(np.ascontiguousarray(getattr(pol, name)).tobytes())
+    assert h.hexdigest() == ENGINE_STATE[kind, eps, J]

@@ -242,6 +242,17 @@ class TestPlay(PlayPreamble):
         assert longest >= 3 and last_row >= 1
         assert_same_state(loop, engine)
 
+    @pytest.mark.parametrize("eps, J, seed", [(1.0, 9, 1), (10.0, 64, 0)])
+    def test_cut_then_visit_in_the_partial_last_block(self, eps, J, seed):
+        # the last block ends 2 rows into a group, and a cube that cuts in it is
+        # visited again: its final sums are its replayed column's, not the groups'
+        T = 2 * BLOCK + 77
+        log = {}
+        loop, engine = play_twins(ENV, T, "lppq", eps, seed=seed, J=J, log=log)
+        js = log["js"]
+        assert any(e.t > 2 * BLOCK and (js[e.t:] == e.cube).any() for e in log["events"])
+        assert_same_state(loop, engine)
+
     @pytest.mark.parametrize("T", [4, BLOCK - 1, BLOCK + 1, 1003])
     def test_horizon_not_a_multiple_of_the_block(self, T):
         assert T % BLOCK

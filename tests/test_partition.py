@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import privbandit
 from privbandit import PriceGrid, build_partition, cube_index, phase_index
 from privbandit.partition import (LEFT_CUT, RIGHT_CUT, HorizonConfig, Quadrisection, ShrinkEvent,
-                                  _quartiles, _spread, cube_index_many)
+                                  _add_rows, _own_cubes, _quartiles, _spread,
+                                  cube_index_many)
 from privbandit.prng import derive_stream
 
 
@@ -261,6 +262,30 @@ class TestBlock:
             np.testing.assert_array_equal(out[0], g[0])
             r, k = np.arange(rows)[:, None], np.arange(5)
             np.testing.assert_array_equal(out[1:rows + 1][r, :, k], g[(r - k) // 5 + 1, :, k])
+
+    @pytest.mark.parametrize("shape", [(1, 5, 4), (2, 5, 9), (2, 5, 16), (2, 5, 49)])
+    def test_row_adds_are_the_cumsum(self, shape):
+        # 20, 90, 160 and 490 columns, at every group count a block can have; the
+        # magnitudes spread over 12 decades, so a changed order would round differently
+        rng = np.random.default_rng(1)
+        for groups in range(1, Quadrisection.BLOCK // 5 + 1):
+            size = (groups + 1,) + shape
+            steps = rng.normal(size=size) * 10.0 ** rng.integers(-6, 6, size)
+            want = np.cumsum(steps, axis=0)
+            _add_rows(steps)
+            np.testing.assert_array_equal(steps, want)
+
+    def test_own_cubes_gather_the_spread_rows(self):
+        # row r's own cube of _spread, read straight from the groups, at every row count
+        rng = np.random.default_rng(2)
+        r = np.arange(Quadrisection.BLOCK)
+        sched = (r[:, None] - np.arange(5)) // 5 + 1
+        for rows in range(1, Quadrisection.BLOCK + 1):
+            g = rng.normal(size=((rows + 4) // 5 + 1, 2, 5, 7))
+            js = rng.integers(0, 7, rows)
+            out = _own_cubes(g, js, sched[:rows])
+            assert out.shape == (2, 5, rows)
+            np.testing.assert_array_equal(out, _spread(g)[r[:rows] + 1, ..., js].transpose(1, 2, 0))
 
     def test_one_block_for_every_policy(self):
         # row r of a block has slot r % 5, and the engine alone sets the block size
