@@ -9,7 +9,9 @@ unit-scale and sensitivity-correct noise; and eps from 10 down to 0.01 and
 inf.  A refactor that claims identical results must keep every digest; a
 change that means to alter results must say so and record new digests.
 ``ENGINE_STATE`` does the same for the policy state ``play`` leaves behind
-at the engine's widest shapes.
+at the engine's widest shapes, and ``TREE_UPDATE`` and ``ONLINE_STATE`` for
+the per-period path no episode takes: ``TreeAggregator.update`` and cppq's
+``choose_price``/``update`` loop.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from privbandit import LinearDemandEnv, PolicySpec
+from privbandit import LinearDemandEnv, PolicySpec, TreeAggregator
 from privbandit.cli import main
 from privbandit.partition import cube_index_many
 from privbandit.prng import derive_stream
@@ -97,3 +99,54 @@ def test_engine_state_matches_golden_digest(kind, eps, J):
     for name in STATE:
         h.update(np.ascontiguousarray(getattr(pol, name)).tobytes())
     assert h.hexdigest() == ENGINE_STATE[kind, eps, J]
+
+
+# TreeAggregator.update with noise on, at width 1 (its levels summed pairwise) and 49,
+# through the carry at update 512: each release, then the final noise rows and total
+TREE_UPDATE = {
+    1: "73e1a4bbdb552b324a2f02eb7500c0c0b3a0aa6f9d29eedaaa319721315b26e6",
+    49: "c9350971c87c02c8e71f0babbe834781d15da39147d9959eceafc669a710203a",
+}
+
+
+@pytest.mark.parametrize("width", sorted(TREE_UPDATE))
+def test_tree_update_matches_golden_digest(width):
+    T = 1003  # 10 levels
+    agg = TreeAggregator(1.0, T, derive_stream(20240002, "agg"), width=width)
+    us = derive_stream(20240002, "signal").uniform(-1.0, 1.0, size=(T, width))
+    h = hashlib.sha256()
+    for u in us:
+        h.update(np.atleast_1d(agg.update(float(u[0]) if width == 1 else u)).tobytes())
+    h.update(agg.noise.tobytes())
+    h.update(agg.total.tobytes())
+    assert h.hexdigest() == TREE_UPDATE[width]
+
+
+# cppq eps=1 driven period by period: the prices, the search state, and each of the
+# ten aggregators' clock, noise rows and next uniform
+ONLINE_STATE = {
+    1: "0bcee2450b41ec2d64bb1e50cb756352a88a59c806962d76940e2c31ab6519a8",
+    49: "72ace1800ae4c9e62d674a6897f7bdeb2f0d817391f4fed6e90c9bbf2699970b",
+}
+
+
+@pytest.mark.parametrize("J", sorted(ONLINE_STATE))
+def test_online_state_matches_golden_digest(J):
+    T, env = 1003, LinearDemandEnv()
+    stream = derive_stream(20240001, "rep/0")
+    pol = PolicySpec(kind="cppq", eps=1.0, J_request=J).build_policy(T, env, stream.child("policy"))
+    assert pol.J == J
+    X = env.sample_context(stream.child("context"), size=T)
+    demand = env.episode_demand(stream.child("demand"), X)
+    prices = np.empty(T)
+    for i in range(T):
+        prices[i] = pol.choose_price(X[i], i + 1)
+        pol.update(X[i], prices[i], demand(i, prices[i]), i + 1)
+    h = hashlib.sha256(prices.tobytes())
+    for name in STATE:
+        h.update(np.ascontiguousarray(getattr(pol, name)).tobytes())
+    for agg in pol._reward_agg + pol._count_agg:
+        h.update(np.int64(agg.n).tobytes())
+        h.update(agg.noise.tobytes())
+        h.update(np.float64(agg._stream.unit()).tobytes())
+    assert h.hexdigest() == ONLINE_STATE[J]
