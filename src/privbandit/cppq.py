@@ -14,7 +14,8 @@ price interval.
 
 Aggregator clocks are local: a slot-k aggregator ticks only on periods with
 phase k, keeping its update indices contiguous, which the binary-counter
-row retirement requires.
+row retirement requires.  The policy keeps the exact running sums, and the
+aggregators their clocks and noise rows.
 
 Episodes run through the block engine :meth:`Quadrisection.play`.  The
 tree noise does not depend on the data, so the ten aggregators release a
@@ -92,12 +93,8 @@ class CppqPolicy(Quadrisection):
             TreeAggregator(eps_branch, config.T, stream.child(f"count/{k}"),
                            width=J, sensitivity=2.0)
             for k in range(5)]
-        # the ten aggregators' exact running sums are the rows of one (2, 5, J) array
+        # the exact running sums the aggregators' releases add their noise to
         self._totals = np.zeros((self.S, 5, J))
-        for agg, total in zip(self._reward_agg + self._count_agg, self._totals.reshape(-1, J)):
-            agg.total = total
-        self._u = np.zeros(J)
-        self._v = np.zeros(J)
 
     choose_price = Quadrisection.choose_price
 
@@ -106,13 +103,9 @@ class CppqPolicy(Quadrisection):
         self._tick(t)
         j_t = cube_index(self.part, x)
         k = phase_index(t) - 1
-        u, v = self._u, self._v
-        u[j_t] = p * y
-        v[j_t] = 1.0
-        self._sums[0, k] = self._reward_agg[k].update(u)
-        self._sums[1, k] = self._count_agg[k].update(v)
-        u[j_t] = 0.0
-        v[j_t] = 0.0
+        self._totals[:, k, j_t] += (p * y, 1.0)
+        off = noise_offsets([self._reward_agg[k], self._count_agg[k]], [1, 1])
+        self._sums[:, k] = self._totals[:, k] if off is None else self._totals[:, k] + off[1]
         return self.maybe_shrink(t)
 
     def _cut_flags(self, since: np.ndarray, n) -> tuple:
@@ -148,7 +141,7 @@ class CppqPolicy(Quadrisection):
         return left, right
 
     def _block_inputs(self, block_js: np.ndarray) -> tuple:
-        """The aggregators' totals, each visit's count, and their noise offsets.
+        """The exact totals, each visit's count, and the aggregators' noise offsets.
 
         Row r counts 1 in its cube's statistic 1; its revenue comes with the
         post.  Slot k's aggregators tick on rows k, k+5, ...: ``counts[k]``

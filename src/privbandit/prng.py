@@ -57,7 +57,16 @@ class RngStream:
     def laplace(self, scale: float, size=None):
         if not scale > 0:
             raise ValueError(f"Laplace scale must be positive, got {scale}")
-        return laplace_from_uniform(self._gen.random(size), scale)
+        return laplace_from_uniform(self.redraw_zeros(np.asarray(self._gen.random(size))), scale)
+
+    def redraw_zeros(self, u: np.ndarray) -> np.ndarray:
+        """Draw each exact 0 of ``u``, this stream's latest uniforms, again in place; returns u.
+
+        The Laplace transform maps 0 to -inf.  A 0 comes once in 2**53 draws.
+        """
+        while not u.all():
+            u[u == 0.0] = self._gen.random(np.count_nonzero(u == 0.0))
+        return u
 
     def integers(self, lo: int, hi: int, size=None):
         return self._gen.integers(lo, hi, size=size)

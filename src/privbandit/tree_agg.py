@@ -7,9 +7,10 @@ lmin, so no update is ever covered by more than L+1 rows - which is what
 makes the per-stream budget split eps' = eps / (L+1) compose to eps.  This
 is the textbook counter with the same draws and half its state.
 
-An aggregator can be vector-valued (``width`` > 1): one update then carries
-a length-``width`` contribution vector and the machinery runs element-wise,
-exactly as ``width`` scalar aggregators sharing one update clock.
+The rule is written once, in :func:`noise_offsets`.  An aggregator can be
+vector-valued (``width`` > 1): one update then carries a length-``width``
+contribution vector and the machinery runs element-wise, exactly as
+``width`` scalar aggregators sharing one update clock.
 """
 
 from __future__ import annotations
@@ -74,22 +75,15 @@ class TreeAggregator:
         """Fold in one update and return the released running sum.
 
         Scalar aggregators accept and return floats; vector aggregators
-        accept shape-(width,) arrays and return a fresh release array.
+        accept shape-(width,) arrays and return a fresh release array: the
+        running sum plus the one offset of :func:`noise_offsets`.  A wrong
+        shape, or an update past capacity, raises and changes nothing.
         """
-        if self.n >= self.capacity:
-            raise CapacityError(f"aggregator capacity {self.capacity} exhausted")
-        self.total += np.asarray(u, dtype=float).reshape(self.width)
-        self.n += 1
-        if self.noise_enabled:
-            lmin = (self.n & -self.n).bit_length() - 1  # lowest set bit of n
-            self.noise[:lmin] = 0.0
-            self.noise[lmin] = self._stream.laplace(self.noise_scale, size=self.width)
-            released = self.total + self.noise.sum(axis=0)
-        else:
-            released = self.total.copy()
-        if self.width == 1:
-            return float(released[0])
-        return released
+        u = np.asarray(u, dtype=float).reshape(self.width)
+        off = noise_offsets([self], [1])
+        self.total += u
+        released = self.total.copy() if off is None else self.total + off[1, 0]
+        return float(released[0]) if self.width == 1 else released
 
 
 def noise_offsets(aggs: list, counts: list) -> np.ndarray | None:
@@ -104,21 +98,21 @@ def noise_offsets(aggs: list, counts: list) -> np.ndarray | None:
     draw of its own stream, and the drawn rows of all of them, and only
     those, go through one Laplace transform at each row's own scale:
     elementwise, so each stream's rows have the bits of ``counts[a]``
-    Laplace draws of one row.
+    Laplace draws of one row.  A wrong stack, or counts past an
+    aggregator's capacity, raise before anything changes.
 
     The noise table is row-major, (L+2+max(counts), len(aggs), width):
     each row holds one level row of every aggregator side by side, so one
     gather with one (max(counts)+1, L+1) index serves all of them and
     copies whole rows.  Each offset is one reduction over all L+1 levels,
-    as in ``update``.  For width >= 2 numpy adds the levels of either one
-    at a time, 0 to L, in the same order.  For width 1 ``update`` sums its
-    one column's levels pairwise (from eight levels on), which a reduction
-    over a non-innermost axis would not repeat; there the levels are moved
-    innermost before the sum, so numpy sums them pairwise too.  Every
-    offset is summed, also where no cut rule reads it: cppq's rule reads
-    revenue offsets only where its count gate opens, but summing only those
-    measured no faster.  With noise off there are no offsets and the
-    result is None.
+    which numpy adds one at a time, 0 to L, for width >= 2.  At width 1 the
+    counter has always summed its one column's levels pairwise (from eight
+    levels on), which a reduction over a non-innermost axis would not
+    repeat, so there the levels are moved innermost first.  Every offset is
+    summed, also where no cut rule reads it: cppq's rule reads revenue
+    offsets only where its count gate opens, but summing only those
+    measured no faster.  With noise off there are no offsets and the result
+    is None.
     """
     first = aggs[0]
     n0, L1, width = first.n, first.L + 1, first.width
@@ -143,6 +137,9 @@ def noise_offsets(aggs: list, counts: list) -> np.ndarray | None:
     # the drawn rows only, in aggregator order, through one transform; unused rows stay zero
     drawn = np.arange(top) < np.array(counts)[:, None]
     u = np.concatenate([a._stream.unit((cnt, width)) for a, cnt in zip(aggs, counts)])
+    if not u.all():  # one check for all: a stream with an exact 0 draws it again
+        for a, own in zip(aggs, np.split(u, np.cumsum(counts)[:-1])):
+            a._stream.redraw_zeros(own)
     scale = np.repeat([a.noise_scale for a in aggs], counts)[:, None]
     table[L1 + 1:].transpose(1, 0, 2)[drawn] = laplace_from_uniform(u, scale)
     gathered = table[np.where(high & 1, np.where(src > n0, L1 + src - n0, levels), L1)]

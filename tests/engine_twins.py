@@ -55,11 +55,13 @@ def assert_same_state(loop, engine):
     for name in ("_lo", "_hi", "_epoch", "_pointer", "shrink_count", "_sums", "_snap"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
     assert a._expected_t == b._expected_t
-    # central policies keep ten tree aggregators, each with its own noise stream
+    # central policies keep their exact totals, and ten tree aggregators with a clock,
+    # noise rows and a noise stream each
+    if hasattr(a, "_totals"):
+        np.testing.assert_array_equal(a._totals, b._totals, err_msg="_totals")
     aggs = [getattr(p, "_reward_agg", []) + getattr(p, "_count_agg", []) for p in (a, b)]
     for agg_a, agg_b in zip(*aggs):
         assert agg_a.n == agg_b.n
-        np.testing.assert_array_equal(agg_a.total, agg_b.total)
         np.testing.assert_array_equal(agg_a.noise, agg_b.noise)
     streams = [[p._stream] if hasattr(p, "_stream") else [agg._stream for agg in g]
                for p, g in zip((a, b), aggs)]

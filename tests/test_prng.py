@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from privbandit import derive_stream, laplace_from_uniform
+from privbandit import TreeAggregator, derive_stream, laplace_from_uniform
 from privbandit.prng import seed_from_env
+from privbandit.tree_agg import noise_offsets
 
 
 def laplace_log_density_ratio(v, x: float, x_prime: float, scale: float) -> float:
@@ -98,6 +99,54 @@ class TestStreamDerivation:
         assert root.child("policy").label == "rep/3/policy"
         np.testing.assert_array_equal(root.child("policy").unit(5),
                                       derive_stream(5, "rep/3/policy").unit(5))
+
+
+class ZeroFirst:
+    """A generator whose first draw starts with an exact 0, then the wrapped one's draws."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, 0
+
+    def random(self, size=None):
+        u = self.gen.random(size)
+        self.calls += 1
+        if self.calls > 1:
+            return u
+        if size is None:
+            return 0.0
+        u.flat[0] = 0.0
+        return u
+
+
+class TestZeroUniform:
+    """u = 0 maps to -inf with a divide warning; the Laplace draws take it again."""
+
+    @pytest.mark.parametrize("size", [None, 5, (2, 3)])
+    def test_laplace_redraws_a_zero(self, size):
+        stream, twin = derive_stream(3, "zero"), derive_stream(3, "zero")
+        stream._gen = ZeroFirst(stream._gen)
+        got = stream.laplace(2.0, size)
+        u = np.array(twin.unit(size))
+        u.flat[0] = twin.unit()  # the first value drawn again, every other one as drawn
+        assert np.all(np.isfinite(got))
+        np.testing.assert_array_equal(got, laplace_from_uniform(u, 2.0))
+        assert stream.unit() == twin.unit()
+
+    def test_noise_offsets_redraw_a_zero(self):
+        # a stack of three whose last stream starts with a 0: that stream alone draws again
+        stack, twins = ([TreeAggregator(1.0, 8, derive_stream(3, f"agg/{k}"), width=3)
+                         for k in range(3)] for _ in range(2))
+        stack[2]._stream._gen = ZeroFirst(stack[2]._stream._gen)
+        off = noise_offsets(stack, [2, 2, 1])
+        assert np.all(np.isfinite(off))
+        for k, (agg, twin, cnt) in enumerate(zip(stack, twins, [2, 2, 1])):
+            u = twin._stream.unit((cnt, 3))
+            if k == 2:
+                u[0, 0] = twin._stream.unit()
+            # updates 1 and 2 set levels 0 and 1 alone: each offset is one drawn row
+            np.testing.assert_array_equal(off[1:cnt + 1, k],
+                                          laplace_from_uniform(u, agg.noise_scale))
+            assert agg._stream.unit() == twin._stream.unit()
 
 
 class TestLaplaceMoments:

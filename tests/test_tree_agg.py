@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -80,6 +81,23 @@ class TestCapacity:
         for _ in range(16):
             agg.update(0.0)
         assert agg.n == 16
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_failed_update_changes_nothing(self, width):
+        # a wrong-shaped update 4, which would carry into level 2, then update 5 past
+        # capacity: each raises before the clock, noise rows, running sum or stream move
+        agg = TreeAggregator(1.0, 4, derive_stream(9, "agg"), width=width)
+        for updates, bad, error in ((3, np.ones(width + 1), ValueError),
+                                    (1, np.ones(width), CapacityError)):
+            for _ in range(updates):
+                agg.update(np.full(width, 0.5))
+            before = copy.deepcopy(agg)
+            with pytest.raises(error):
+                agg.update(bad)
+            assert agg.n == before.n
+            np.testing.assert_array_equal(agg.noise, before.noise)
+            np.testing.assert_array_equal(agg.total, before.total)
+            assert agg._stream.unit() == before._stream.unit()
 
 
 class TestNoise:
@@ -164,6 +182,30 @@ class TestTextbookReference:
             np.testing.assert_array_equal((agg.noise == 0).all(axis=1), ~bits)
 
 
+class TestBulkTextbookReference:
+    @settings(max_examples=60, deadline=None)
+    @given(capacity=st.integers(1, 300), width=st.integers(1, 6),
+           eps=st.floats(0.01, 100.0), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_offsets_match_textbook_counter(self, capacity, width, eps, seed, data):
+        # noise_offsets on its own, with no update: n0 updates in one call, then count more
+        n0 = data.draw(st.integers(0, capacity - 1), label="n0")
+        count = data.draw(st.integers(1, capacity - n0), label="count")
+        agg = TreeAggregator(eps, capacity, derive_stream(seed, "agg"), width=width)
+        ref = TextbookCounter(agg.L, width, derive_stream(seed, "agg"), agg.noise_scale)
+        us = derive_stream(seed, "signal").uniform(-1, 1, size=(n0 + count, width))
+        if n0:
+            noise_offsets([agg], [n0])
+        off = noise_offsets([agg], [count])[:, 0]
+        assert agg.n == n0 + count
+        # row m: the exact running sum after m updates
+        totals = np.cumsum(np.concatenate([np.zeros((1, width)), us]), axis=0)
+        releases = [ref.update(u) for u in us]
+        for i in range(0 if n0 else 1, count + 1):
+            want, magnitude = releases[n0 + i - 1]
+            # relative to the size of the summed terms, as in the per-update test above
+            assert np.all(np.abs(totals[n0 + i] + off[i] - want) <= 1e-9 * magnitude)
+
+
 class TestBudgetStructure:
     def test_each_update_touches_at_most_L_plus_one_partials(self):
         # the block rebuilt at step n covers indices n - 2^lmin + 1 .. n;
@@ -182,15 +224,20 @@ class TestNoiseOffsets:
 
     @staticmethod
     def twins(capacity, width, n0, sensitivities=(2.0,), seed=2):
-        """Per sensitivity, an aggregator for the loop and one for the stack, both at n0."""
-        us = derive_stream(1, "signal").uniform(-1, 1, size=(n0, width))
+        """Per sensitivity, an aggregator for the loop and one for the stack, both at n0.
+
+        Each is taken to n0 in one ``noise_offsets`` call, which is what n0
+        updates do to its clock and noise rows, and given the sum of n0 signals.
+        """
+        total = derive_stream(1, "signal").uniform(-1, 1, size=(n0, width)).sum(axis=0)
         pairs = []
         for k, sens in enumerate(sensitivities):
             pair = [TreeAggregator(0.7, capacity, derive_stream(seed, f"agg/{k}"), width=width,
                                    sensitivity=sens) for _ in range(2)]
-            for u in us:
-                for agg in pair:
-                    agg.update(u)
+            for agg in pair:
+                if n0:
+                    noise_offsets([agg], [n0])
+                agg.total += total
             pairs.append(pair)
         return pairs
 
